@@ -200,9 +200,10 @@ func main() {
 	check(err)
 	svc.catalog, err = rt.NewSet("dgt")
 	check(err)
-	bound := rt.GarbageBound()
-	fmt.Printf("runtime: %v under %s, %d lease slots shared, aggregated garbage bound %d records, mode=%s\n",
-		rt.Structures(), rt.Scheme(), rt.MaxThreads(), bound, *mode)
+	// The garbage bound is printed with the results: it is declared once the
+	// first lease builds the scheme.
+	fmt.Printf("runtime: %v under %s, %d lease slots shared, mode=%s\n",
+		rt.Structures(), rt.Scheme(), rt.MaxThreads(), *mode)
 
 	// A real HTTP server on loopback TCP — requests cross the network stack,
 	// handlers run on per-connection goroutines.
@@ -346,7 +347,7 @@ func main() {
 		fmt.Printf("request latency p50=%v p99=%v (end-to-end, admission included)\n",
 			lats[len(lats)/2].Round(time.Microsecond), lats[len(lats)*99/100].Round(time.Microsecond))
 	}
-	fmt.Printf("retired=%d freed=%d garbage=%d (peak sampled %d, bound %d)\n",
+	fmt.Printf("retired=%d freed=%d garbage=%d (peak sampled %d, aggregated bound %d)\n",
 		st.Retired, st.Freed, st.Garbage(), peak.Load(), rt.GarbageBound())
 	fmt.Printf("forced scan rounds=%d, unaged-slot fallbacks=%d\n",
 		rt.ForcedRounds(), rt.FallbackReuses())

@@ -10,7 +10,7 @@ import "testing"
 func TestResizeBurstSegmentAmortization(t *testing.T) {
 	cfg := DefaultSchemeConfig()
 	// The threshold must leave the bag headroom for whole arrays: a bag
-	// pinned at its threshold forces RetireChunk down to single-record
+	// pinned at its threshold forces the fill cut down to single-record
 	// carves, which is per-node retirement with extra steps (and is exactly
 	// what the stamps_per_record column would expose).
 	cfg.Threshold = 512

@@ -260,3 +260,93 @@ func TestRetireBatchConcurrentRace(t *testing.T) {
 		})
 	}
 }
+
+// TestRetireSegmentEquivalence is the segment-seam property test: for every
+// scheme, retiring runs as segment handles (AllocBatch + NewSegment +
+// RetireSegment) must account exactly like retiring the same runs' members
+// through a per-record Retire loop — equal Retired, equal Freed after a
+// quiescent drain, no Freed > Retired inversion — while the segment
+// counters show the cut policy: identity and epoch schemes bag each handle
+// whole (one entry per segment, however oversized), the era schemes carve an
+// oversized one into ceil(K/Threshold) threshold-weight pieces.
+func TestRetireSegmentEquivalence(t *testing.T) {
+	const threads = 2
+	sizes := []int{8, 150, 40, 150, 300} // 150 and 300 exceed every threshold in retireCfg
+	threshold := retireCfg().Threshold
+	carves := map[string]bool{"he": true, "ibr": true}
+	run := func(t *testing.T, scheme string, segments bool) (smr.Stats, mem.Stats) {
+		pool := mem.NewPool[retireRec](mem.Config{MaxThreads: threads})
+		sch, err := NewScheme(scheme, pool, threads, retireCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := sch.Guard(0)
+		for _, k := range sizes {
+			run := pool.AllocBatch(0, k)
+			if segments {
+				seg := pool.NewSegment(0, run)
+				g.OnAlloc(seg)
+				g.RetireSegment(seg)
+				continue
+			}
+			for i := 0; i < k; i++ {
+				g.OnAlloc(run.At(i))
+			}
+			for i := 0; i < k; i++ {
+				g.Retire(run.At(i))
+			}
+		}
+		if d, ok := sch.(smr.Drainer); ok && scheme != "none" {
+			for round := 0; round < 100; round++ {
+				if st := sch.Stats(); st.Retired == st.Freed {
+					break
+				}
+				for tid := 0; tid < threads; tid++ {
+					d.Drain(tid)
+				}
+			}
+		}
+		return sch.Stats(), pool.Stats()
+	}
+	var records, pieces, whole uint64
+	for _, k := range sizes {
+		records += uint64(k)
+		pieces += uint64((k + threshold - 1) / threshold)
+		whole++
+	}
+	for _, scheme := range SchemeNames {
+		t.Run(scheme, func(t *testing.T) {
+			loopS, loopM := run(t, scheme, false)
+			segS, segM := run(t, scheme, true)
+			if loopS.Retired != records || segS.Retired != records {
+				t.Fatalf("retired: loop %d, segments %d, want %d", loopS.Retired, segS.Retired, records)
+			}
+			if loopS.Freed != segS.Freed {
+				t.Fatalf("freed after drain: loop %d, segments %d", loopS.Freed, segS.Freed)
+			}
+			if scheme != "none" && segS.Freed != records {
+				t.Fatalf("drain left %d of %d segment records unfreed", records-segS.Freed, records)
+			}
+			if loopS.Invalid() || segS.Invalid() {
+				t.Fatalf("freed > retired: loop %+v, segments %+v", loopS, segS)
+			}
+			if loopS.Segments != 0 || loopS.SegRecords != 0 {
+				t.Fatalf("per-record loop counted segments: %d / %d", loopS.Segments, loopS.SegRecords)
+			}
+			want := whole
+			if carves[scheme] {
+				want = pieces
+			}
+			if segS.Segments != want || segS.SegRecords != records {
+				t.Fatalf("segments = %d covering %d records, want %d covering %d",
+					segS.Segments, segS.SegRecords, want, records)
+			}
+			// Every bagged handle — an original segment or a carved piece —
+			// is one extra pool slot freed on top of the member records.
+			if scheme != "none" && segM.Frees-loopM.Frees != segS.Segments {
+				t.Fatalf("pool frees: segments %d, loop %d, want %d handle frees on top",
+					segM.Frees, loopM.Frees, segS.Segments)
+			}
+		})
+	}
+}

@@ -378,7 +378,7 @@ func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assert
 		{"ibr", true},
 	}
 	// The cells run at a fixed 512-record threshold regardless of the sweep
-	// config: the bag needs headroom for whole arrays, or RetireChunk
+	// config: the bag needs headroom for whole arrays, or the fill cut
 	// degrades to single-record carves and the A/B measures nothing.
 	rcfg := cfg
 	rcfg.Threshold = 512

@@ -56,8 +56,11 @@ func (d TrendDelta) String() string {
 	case d.Untrusted:
 		tag = "  UNTRUSTED(host shape differs)"
 	}
+	// The printed change is the real signed change of the numbers (a
+	// throughput drop reads negative); Pct's worse-is-positive sign only
+	// drives the flagging.
 	return fmt.Sprintf("%-44s %-10s %10.3f %s %10.3f  (%+.1f%%)%s",
-		d.Cell, d.Metric, d.Prev, arrow, d.Next, d.Pct, tag)
+		d.Cell, d.Metric, d.Prev, arrow, d.Next, worsePct(d.Prev, d.Next, true), tag)
 }
 
 // HostShapeMismatch describes why two snapshots' numbers are not comparable

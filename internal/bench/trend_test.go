@@ -41,6 +41,25 @@ func TestCompareSnapshotsFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestTrendDeltaStringSign pins the printed change to the real direction of
+// the numbers: a throughput drop prints negative although Pct, which drives
+// flagging, counts it as a positive worsening.
+func TestTrendDeltaStringSign(t *testing.T) {
+	for _, c := range []struct {
+		d    TrendDelta
+		want string
+	}{
+		{TrendDelta{Cell: "workload dgt/nbr+", Metric: "mops", Prev: 1.108, Next: 0.836, Pct: 24.5, Regression: true},
+			"     1.108 →      0.836  (-24.5%)  REGRESSION"},
+		{TrendDelta{Cell: "scan N=8", Metric: "ns/scan", Prev: 100, Next: 120, Pct: 20},
+			"   100.000 →    120.000  (+20.0%)"},
+	} {
+		if got := c.d.String(); !strings.HasSuffix(got, c.want) {
+			t.Errorf("String() = %q, want suffix %q", got, c.want)
+		}
+	}
+}
+
 func TestCompareSnapshotsWithinThreshold(t *testing.T) {
 	prev := trendSnap(2.0, 1000, 100, 0)
 	next := trendSnap(1.9, 1050, 104, 0) // all within 10%

@@ -132,14 +132,15 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	s.group.SetActive(s.ActiveMask)
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
-		s.gs[i] = &guard{
-			s:         s,
-			tid:       i,
-			row:       s.reservations[i*cfg.Slots : (i+1)*cfg.Slots],
-			scan:      smr.NewScanSet(threads * cfg.Slots),
-			freeables: make([]mem.Ptr, 0, cfg.BagSize),
-			scanTS:    make([]uint64, threads),
+		g := &guard{
+			s:      s,
+			tid:    i,
+			row:    s.reservations[i*cfg.Slots : (i+1)*cfg.Slots],
+			scan:   smr.NewScanSet(threads * cfg.Slots),
+			scanTS: make([]uint64, threads),
 		}
+		g.bag.Init(&s.seg, &g.ctr, cfg.BagSize, false)
+		s.gs[i] = g
 	}
 	return s
 }
@@ -159,29 +160,13 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Scans += g.scans.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
+		g.ctr.AddTo(&st)
 	}
 	gs := s.group.Stats()
 	st.Signals = gs.Sent
 	st.Neutralized = gs.Neutralized
 	st.Ignored = gs.Ignored
 	return st
-}
-
-// segW is the per-survivor weight multiplier: every bag entry or orphan a
-// peer can pin is at worst one segment handle standing for MaxWeight records.
-// 1 until the first RetireSegment lands, so the pre-segment formulas are
-// recovered exactly; monotone afterwards, preserving the bound's contract.
-func (s *Scheme) segW() int {
-	if w := s.seg.MaxWeight(); w > 1 {
-		return w
-	}
-	return 1
 }
 
 // ThreadBound returns the worst-case number of unreclaimed records one
@@ -196,7 +181,7 @@ func (s *Scheme) segW() int {
 // (see RetireSegment), so a whole segment can land in one append after the
 // watermark check.
 func (s *Scheme) ThreadBound() int {
-	return 2*s.cfg.BagSize + (len(s.gs)*s.cfg.Slots+1)*s.segW()
+	return 2*s.cfg.BagSize + (len(s.gs)*s.cfg.Slots+1)*s.seg.MaxWeight()
 }
 
 // GarbageBound implements smr.Scheme: the enforced system-wide bound is
@@ -208,7 +193,7 @@ func (s *Scheme) ThreadBound() int {
 // across membership churn.
 func (s *Scheme) GarbageBound() int {
 	n := len(s.gs)
-	return n*s.ThreadBound() + n*n*s.cfg.Slots*s.segW()
+	return n*s.ThreadBound() + n*n*s.cfg.Slots*s.seg.MaxWeight()
 }
 
 // ReclaimBurst implements smr.Scheme: a reclamation frees at most one full
@@ -257,8 +242,8 @@ func (s *Scheme) attachThread(tid int) {
 // recovers the slot (owner or reaper), after the slot left the active mask.
 func (s *Scheme) ReclaimAll(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.limbo) == 0 {
+	g.bag.Adopt(&s.Membership, 0, nil)
+	if g.bag.Len() == 0 {
 		return
 	}
 	if s.cfg.Plus {
@@ -268,19 +253,12 @@ func (s *Scheme) ReclaimAll(tid int) {
 	} else {
 		s.group.SignalAll(tid)
 	}
-	g.reclaimFreeable(len(g.limbo))
+	g.reclaimFreeable(g.bag.Len())
 }
 
 // OrphanSurvivors implements smr.Quiescer: hand the records peers still
 // reserve (at most N·R) to the shared orphan list for the next reclaimer.
-func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	if len(g.limbo) > 0 {
-		s.Reg.AddOrphans(g.limbo)
-		g.limbo = g.limbo[:0]
-		g.limboW = 0
-	}
-}
+func (s *Scheme) OrphanSurvivors(tid int) { s.gs[tid].bag.Orphan(s.Reg) }
 
 // ResetSlot implements smr.Quiescer: neutralize tid's announcement state.
 // announceTS stays monotone across occupants (see attachThread).
@@ -315,8 +293,8 @@ func (s *Scheme) ForceRound() bool {
 // concurrently active peers survive in the bag.
 func (s *Scheme) Drain(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.limbo) == 0 {
+	g.bag.Adopt(&s.Membership, 0, nil)
+	if g.bag.Len() == 0 {
 		return
 	}
 	if s.cfg.Plus {
@@ -326,13 +304,13 @@ func (s *Scheme) Drain(tid int) {
 	} else {
 		s.group.SignalAll(tid)
 	}
-	g.reclaimFreeable(len(g.limbo))
+	g.reclaimFreeable(g.bag.Len())
 	g.cleanUp()
 }
 
 // LimboLen reports thread tid's current limbo-bag population (test hook;
 // call only from tid or while tid is quiescent).
-func (s *Scheme) LimboLen(tid int) int { return len(s.gs[tid].limbo) }
+func (s *Scheme) LimboLen(tid int) int { return s.gs[tid].bag.Len() }
 
 // TSScans reports how many announceTS scans thread tid has performed (test
 // hook for the record-counted ScanFreq cadence; NBR+ only).
@@ -346,14 +324,12 @@ type guard struct {
 	// once at construction so Reserve/BeginRead never multiply tid·R.
 	row []smr.Pad64
 
-	limbo []mem.Ptr
-	// limboW is the bag's record weight: len(limbo) until a segment handle
-	// lands, after which each handle counts its member run. All watermark
-	// comparisons run against limboW so the enforced bound keeps counting
-	// every member record behind a single bag entry.
-	limboW    int
-	scan      smr.ScanSet // reclaim scratch, reused across scans
-	freeables []mem.Ptr   // reclaim scratch: the batch handed to FreeBatch
+	// bag is the limbo bag; every watermark comparison runs against its
+	// record weight, so the enforced bound counts each member record
+	// behind a segment handle.
+	bag  smr.Bag
+	ctr  smr.Counters
+	scan smr.ScanSet // reclaim scratch, reused across scans
 
 	// NBR+ LoWatermark state (Algorithm 2 lines 1–3). atLoWm is the
 	// inverse of the paper's firstLoWmEntryFlag.
@@ -366,13 +342,7 @@ type guard struct {
 	// owner-only, closed into the read-phase histogram at EndRead.
 	readFrom int64
 
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	scans      smr.Counter
-	tsScans    smr.Counter // NBR+ announceTS scans (cadence observability)
-	segments   smr.Counter // segment handles bagged (RetireSegment pieces)
-	segRecords smr.Counter // member records those handles stood for
+	tsScans smr.Counter // NBR+ announceTS scans (cadence observability)
 }
 
 func (g *guard) Tid() int { return g.tid }
@@ -447,86 +417,54 @@ func (g *guard) OnStale(p mem.Ptr) {
 // (NBR+).
 func (g *guard) Retire(p mem.Ptr) {
 	g.beforeRetire(1)
-	p = p.Unmarked()
-	g.limbo = append(g.limbo, p)
-	g.limboW++
-	g.retired.Inc()
-	g.batches.Record(1)
+	g.bag.Add(p)
 	// Garbage-age sampling: stamp the handle so the hub's free seam can
 	// measure its retire→free residence. One branch when the recorder is off.
-	g.s.rec.SampleRetire(uint64(p))
+	g.s.rec.SampleRetire(uint64(p.Unmarked()))
 }
 
-// RetireBatch implements smr.Guard: the batch lands in the bag in chunks of
-// at most one bag's worth of records, with the watermark bookkeeping running
-// once per chunk instead of once per record — still O(1) amortized shared
-// interactions per unlink, but the HiWatermark check can never be outrun by
-// a single oversized splice. The trigger points are exactly the ones a
-// per-record Retire loop would hit (the chunk boundary lands on the record
-// that fills the bag), so splitting is observationally equivalent to the
-// loop while restoring Lemma 10's bound: the bag holds at most BagSize
-// records plus the one in-flight chunk (see Scheme.ThreadBound).
+// RetireBatch implements smr.Guard: the batch lands in the bag in chunks
+// cut at the watermarks (see beforeRetire), with the watermark bookkeeping
+// running once per chunk instead of once per record — still O(1) amortized
+// shared interactions per unlink, but the HiWatermark check can never be
+// outrun by a single oversized splice. The trigger points are exactly the
+// ones a per-record Retire loop would hit, so splitting is observationally
+// equivalent to the loop while restoring Lemma 10's bound: the bag holds at
+// most BagSize records plus the one in-flight chunk (see ThreadBound).
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.batches.Record(len(ps))
+	g.ctr.Handoff(len(ps))
 	g.s.rec.SampleRetire(uint64(ps[0].Unmarked())) // age-sample one record per splice
 	for len(ps) > 0 {
 		take := g.beforeRetire(len(ps))
-		for _, p := range ps[:take] {
-			g.limbo = append(g.limbo, p.Unmarked())
-		}
-		g.limboW += take
-		// Counted per chunk, not per handoff: a concurrent Stats sampler
-		// must never see a whole splice as garbage before the split has had
-		// a chance to reclaim between its chunks.
-		g.retired.Add(uint64(take))
+		g.bag.Append(ps[:take], 0)
 		ps = ps[take:]
 	}
 }
 
-// RetireSegment implements smr.Guard: the handle lands in the bag as a
-// single entry standing for its whole member run — one bag append and one
-// scan participation for K unlinked records — while the watermark
-// bookkeeping runs against the bag's record *weight*, so the enforced bound
-// keeps counting every member. The handle is never carved: NBR reservations
-// name the retired handle itself (a write-phase peer holds the segment
-// handle from its last endΦread Reserve), and reclaimFreeable matches bag
-// entries against reservations by handle identity — a carved prefix's fresh
-// head handle would appear in no reservation row and its member cells would
-// be freed under a peer the original handle's reservation still covers. An
-// oversized segment therefore lands whole, a one-append overshoot the
-// bound's segment-weight term absorbs (see ThreadBound); a handle that is
-// not a live segment degrades to Retire.
+// RetireSegment implements smr.Guard: reservations name handles, so the
+// segment is bagged whole after one watermark check against its weight
+// (see smr.Guard.RetireSegment and ThreadBound).
 func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
+	w := g.bag.Segment(p)
+	if w == 0 {
 		g.Retire(p)
 		return
 	}
 	g.beforeRetire(w)
-	// Note before bagging: a concurrent GarbageBound reader must never
-	// see segment garbage under a pre-segment (or lighter) bound.
-	g.s.seg.Note(w)
-	p = p.Unmarked()
-	g.limbo = append(g.limbo, p)
-	g.limboW += w
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
+	g.bag.AddSegment(p, w, 0)
 	if g.s.rec.Enabled() {
 		g.s.rec.Rec(g.tid, obs.EvSegRetire, uint64(w))
-		g.s.rec.SampleRetire(uint64(p))
+		g.s.rec.SampleRetire(uint64(p.Unmarked()))
 	}
 }
 
 // beforeRetire runs the watermark bookkeeping for the next chunk of records
 // about to land in the bag (avail record-weight is ready) and returns how
 // much weight may be appended before the next check. All comparisons run on
-// limboW, the bag's record weight, so a segment handle counts its whole
-// member run. Chunks are capped so that every trigger the per-record loop
+// the bag's record weight, so a segment handle counts its whole member run. Chunks are capped so that every trigger the per-record loop
 // would hit lands exactly on a chunk boundary:
 // the HiWatermark (reclamation), and under NBR+ also the LoWatermark (the
 // bookmark must be taken at lo, not skipped by a chunk that jumps straight
@@ -537,17 +475,17 @@ func (g *guard) RetireSegment(p mem.Ptr) {
 func (g *guard) beforeRetire(avail int) int {
 	if g.s.cfg.Plus {
 		g.checkPlus()
-	} else if g.limboW >= g.s.cfg.BagSize {
+	} else if g.bag.Weight() >= g.s.cfg.BagSize {
 		// A reclamation is due anyway: adopt up to one bag's worth of
 		// orphaned records so departed threads' garbage rides this scan.
-		g.adopt(g.s.cfg.BagSize)
+		g.bag.Adopt(&g.s.Membership, g.s.cfg.BagSize, nil)
 		g.s.group.SignalAll(g.tid)
-		g.reclaimFreeable(len(g.limbo))
+		g.reclaimFreeable(g.bag.Len())
 	}
-	take := g.s.cfg.BagSize - g.limboW
+	take := g.s.cfg.BagSize - g.bag.Weight()
 	if g.s.cfg.Plus {
 		if !g.atLoWm {
-			if room := g.s.loWm - g.limboW; room > 0 && room < take {
+			if room := g.s.loWm - g.bag.Weight(); room > 0 && room < take {
 				take = room
 			}
 		} else if room := g.s.cfg.ScanFreq - g.sinceScan; room > 0 && room < take {
@@ -557,8 +495,8 @@ func (g *guard) beforeRetire(avail int) int {
 	if take < 1 {
 		// Reached when weighted survivors pin the bag at or past the
 		// watermark: a reclamation leaves at most N·R bag entries, but each
-		// may be a segment handle worth up to MaxWeight records, so limboW
-		// can exceed BagSize even though N·R < BagSize. Degrade to
+		// may be a segment handle worth up to MaxWeight records, so the bag
+		// weight can exceed BagSize even though N·R < BagSize. Degrade to
 		// per-record checks rather than stalling; the overshoot stays within
 		// ThreadBound's survivor terms.
 		take = 1
@@ -579,20 +517,20 @@ func (g *guard) beforeRetire(avail int) int {
 // checkPlus is the NBR+ watermark logic.
 func (g *guard) checkPlus() {
 	hi, lo := g.s.cfg.BagSize, g.s.loWm
-	switch {
-	case g.limboW >= hi:
+	switch w := g.bag.Weight(); {
+	case w >= hi:
 		// RGP begin (odd) … signalAll … RGP end (even). Orphans adopted
 		// first so departed threads' garbage rides the same scan.
-		g.adopt(hi)
+		g.bag.Adopt(&g.s.Membership, hi, nil)
 		g.s.announceTS[g.tid].Add(1)
 		g.s.group.SignalAll(g.tid)
 		g.s.announceTS[g.tid].Add(1)
-		g.reclaimFreeable(len(g.limbo))
+		g.reclaimFreeable(g.bag.Len())
 		g.cleanUp()
-	case g.limboW >= lo:
+	case w >= lo:
 		if !g.atLoWm {
 			g.atLoWm = true
-			g.bookmark = len(g.limbo)
+			g.bookmark = g.bag.Len()
 			for i := range g.s.announceTS {
 				g.scanTS[i] = g.s.announceTS[i].Load()
 			}
@@ -644,33 +582,19 @@ func (g *guard) cleanUp() {
 	g.sinceScan = 0
 }
 
-// reclaimFreeable frees every record in limbo[:upto] that no thread has
-// reserved (Algorithm 1 lines 21–25). Reserved records stay in the bag —
-// there are at most N·R of them, which is what bounds the bag.
+// reclaimFreeable frees every record in the first upto bag entries that no
+// thread has reserved (Algorithm 1 lines 21–25). Reserved records stay in
+// the bag — there are at most N·R of them, which is what bounds the bag.
 //
 // The reservation snapshot is a flat sorted scratch (one pass, one sort,
 // binary-search membership) and the freeable records go back to the arena in
 // a single FreeBatch call, so a reclaim burst costs zero heap allocations
 // and one free-list interaction regardless of bag size.
 func (g *guard) reclaimFreeable(upto int) {
-	g.scans.Inc()
 	if r := g.s.Reg; r != nil {
 		r.BeginScan()
 		defer r.EndScan()
 	}
 	g.scan.CollectRows(g.s.reservations, g.s.cfg.Slots, g.s.ActiveMask)
-	var freedW int
-	g.limbo, g.freeables, freedW, g.limboW = g.scan.SweepBagSeg(
-		g.s.arena, g.s.seg.Active(), g.tid, g.limbo, upto, g.freeables)
-	g.freed.Add(uint64(freedW))
-}
-
-// adopt pulls up to max (all when max <= 0) orphaned records from the
-// registry into the limbo bag, so a scan this thread is about to run frees
-// departed threads' garbage too. Adopted records were counted as retired by
-// their original thread; only freeing is accounted here.
-func (g *guard) adopt(max int) {
-	n := len(g.limbo)
-	g.limbo = g.s.Adopt(g.limbo, max)
-	g.limboW += g.s.seg.WeighAll(g.limbo[n:])
+	g.bag.SweepSet(&g.scan, g.s.arena, g.tid, upto)
 }

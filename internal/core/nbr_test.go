@@ -16,6 +16,13 @@ func newScheme(t *testing.T, threads int, cfg Config) (*Scheme, *mem.Pool[rec]) 
 	return New(pool, threads, cfg), pool
 }
 
+// freedBy returns the records guard g has freed so far.
+func freedBy(g *guard) uint64 {
+	var st smr.Stats
+	g.ctr.AddTo(&st)
+	return st.Freed
+}
+
 // neutralized runs f and reports whether it panicked with sigsim.Neutralized.
 func neutralized(f func()) (hit bool) {
 	defer func() {
@@ -332,7 +339,7 @@ func TestPlusPassiveReclamationWithoutSignals(t *testing.T) {
 		t.Fatal("passive reclamation must not send signals")
 	}
 	g := g0.(*guard)
-	if g.freed.Load() == 0 {
+	if freedBy(g) == 0 {
 		t.Fatal("LoWatermark thread never reclaimed after observing the RGP")
 	}
 	if s.LimboLen(0) >= lo+1 {
@@ -351,13 +358,13 @@ func TestPlusIncompleteRGPDoesNotReclaim(t *testing.T) {
 
 	s.announceTS[1].Add(1) // peer is mid-broadcast: odd, advanced by 1
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() != 0 {
+	if g := g0.(*guard); freedBy(g) != 0 {
 		t.Fatal("reclaimed on an incomplete RGP")
 	}
 
 	s.announceTS[1].Add(1) // broadcast complete: +2 since snapshot
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() == 0 {
+	if g := g0.(*guard); freedBy(g) == 0 {
 		t.Fatal("failed to reclaim after a complete RGP")
 	}
 }
@@ -377,19 +384,19 @@ func TestPlusMidRGPSnapshotRequiresFullPostBookmarkRGP(t *testing.T) {
 
 	s.announceTS[1].Add(1) // the pre-bookmark RGP ends
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() != 0 {
+	if g := g0.(*guard); freedBy(g) != 0 {
 		t.Fatal("reclaimed on an RGP that began before the bookmark")
 	}
 
 	s.announceTS[1].Add(1) // a post-bookmark RGP begins: odd, == snapshot+2
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() != 0 {
+	if g := g0.(*guard); freedBy(g) != 0 {
 		t.Fatal("reclaimed on a begun-but-unfinished post-bookmark RGP")
 	}
 
 	s.announceTS[1].Add(1) // the post-bookmark RGP ends: even, rounded+2
 	fill(g0, pool, 0, scanFreq+1)
-	if g := g0.(*guard); g.freed.Load() == 0 {
+	if g := g0.(*guard); freedBy(g) == 0 {
 		t.Fatal("failed to reclaim after a complete post-bookmark RGP")
 	}
 }
@@ -403,7 +410,7 @@ func TestPlusRebookmarksAfterReclaim(t *testing.T) {
 		s.announceTS[1].Add(2)
 		fill(g0, pool, 0, scanFreq+1)
 	}
-	if g := g0.(*guard); g.freed.Load() == 0 {
+	if g := g0.(*guard); freedBy(g) == 0 {
 		t.Fatal("no reclamation across rounds")
 	}
 	if s.LimboLen(0) >= bag {

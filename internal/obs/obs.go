@@ -62,10 +62,10 @@ const (
 	EvSigRestart // read phase restarted after a neutralization
 
 	// core — the read-phase bracket and the retire seam.
-	EvReadBegin  // BeginRead: row cleared, restartable set
-	EvReadEnd    // EndRead: restartable cleared
-	EvSegRetire  // segment handle bagged            arg: segment weight
-	EvSegCarve   // retired segment carved           arg: records carved
+	EvReadBegin // BeginRead: row cleared, restartable set
+	EvReadEnd   // EndRead: restartable cleared
+	EvSegRetire // segment handle bagged            arg: segment weight
+	EvSegCarve  // retired segment carved           arg: records carved
 
 	// mem.Hub — the multi-structure free seam.
 	EvHubDispatch // uniform batch dispatched        arg: record count

@@ -28,10 +28,6 @@ type Scheme struct {
 	announce []smr.Pad64 // epoch<<1 | active bit
 	gs       []*guard
 	smr.Membership
-
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight (weighted accounting only — DEBRA's
-	// garbage stays unbounded either way).
 	seg smr.SegState
 }
 
@@ -46,7 +42,12 @@ func New(arena mem.Arena, threads int) *Scheme {
 	}
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
-		s.gs[i] = &guard{s: s, tid: i, localE: 2}
+		g := &guard{s: s, tid: i, localE: 2}
+		for j := range g.bags {
+			g.bags[j].Init(&s.seg, &g.ctr, 0, false)
+		}
+		g.orphans.Init(&s.seg, &g.ctr, 0, false)
+		s.gs[i] = g
 	}
 	return s
 }
@@ -61,12 +62,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Advances += g.advances.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
+		g.ctr.AddTo(&st)
 	}
 	return st
 }
@@ -117,10 +113,7 @@ func (s *Scheme) ReclaimAll(tid int) {
 func (s *Scheme) OrphanSurvivors(tid int) {
 	g := s.gs[tid]
 	for i := range g.bags {
-		if len(g.bags[i]) > 0 {
-			s.Reg.AddOrphans(g.bags[i])
-			g.bags[i] = g.bags[i][:0]
-		}
+		g.bags[i].Orphan(s.Reg)
 	}
 }
 
@@ -166,7 +159,7 @@ func (s *Scheme) Drain(tid int) {
 		}
 	})
 	if !stuck && s.epoch.CompareAndSwap(e, e+1) {
-		g.advances.Inc()
+		g.ctr.Advanced()
 		e++
 	}
 	if e != g.localE {
@@ -176,18 +169,13 @@ func (s *Scheme) Drain(tid int) {
 }
 
 type guard struct {
-	s      *Scheme
-	tid    int
-	localE uint64
-	bags   [3][]mem.Ptr
-	scanAt int // next peer to check in the amortized scan
-
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	advances   smr.Counter
-	segments   smr.Counter // segment handles filed (RetireSegment calls)
-	segRecords smr.Counter // member records those handles stood for
+	s       *Scheme
+	tid     int
+	localE  uint64
+	bags    [3]smr.Bag // indexed by epoch mod 3
+	orphans smr.Bag    // adoption landing bag, empty between calls
+	ctr     smr.Counters
+	scanAt  int // next peer to check in the amortized scan
 }
 
 func (g *guard) Tid() int { return g.tid }
@@ -212,7 +200,7 @@ func (g *guard) BeginOp() {
 		if g.scanAt == len(g.s.announce) {
 			g.scanAt = 0
 			if g.s.epoch.CompareAndSwap(e, e+1) {
-				g.advances.Inc()
+				g.ctr.Advanced()
 			}
 		}
 	}
@@ -234,67 +222,44 @@ func (g *guard) OnStale(p mem.Ptr) {
 	panic("debra: use-after-free detected: " + p.String())
 }
 
-// Retire appends to the bag of the epoch current *now* (not at operation
-// start): the global epoch may have advanced once mid-operation, and a
-// record unlinked under the newer epoch can be held by readers that adopted
-// it, so filing it under the stale epoch would shrink the two-epoch safety
-// margin to one. Rotation here must not touch the thread's announcement —
-// raising it mid-operation would unpin records this operation still holds.
-// Freeing happens wholesale at rotation, which is what makes DEBRA fast and
-// its reclamation bursty.
-func (g *guard) Retire(p mem.Ptr) {
-	if e := g.s.epoch.Load(); e != g.localE {
-		g.rotate(e)
-	}
-	g.adopt()
-	g.bags[g.localE%3] = append(g.bags[g.localE%3], p.Unmarked())
-	g.retired.Inc()
-	g.batches.Record(1)
-}
+func (g *guard) Retire(p mem.Ptr) { g.RetireBatch([]mem.Ptr{p}) }
 
 // RetireBatch implements smr.Guard: one epoch check (and at most one
-// rotation) files the whole batch into the current bag. The epoch is read
-// after every record in the batch was unlinked, so no record is filed under
-// an epoch older than a per-record Retire loop would have used.
+// rotation) files the whole batch into the bag of the epoch current *now*,
+// not at operation start. The global epoch may have advanced once
+// mid-operation, and a record unlinked under the newer epoch can be held by
+// readers that adopted it, so filing it under the stale epoch would shrink
+// the two-epoch safety margin to one. Rotation here must not touch the
+// thread's announcement — raising it mid-operation would unpin records this
+// operation still holds. Freeing happens wholesale at rotation, which is
+// what makes DEBRA fast and its reclamation bursty.
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	if e := g.s.epoch.Load(); e != g.localE {
-		g.rotate(e)
-	}
-	g.adopt()
-	bag := &g.bags[g.localE%3]
-	for _, p := range ps {
-		*bag = append(*bag, p.Unmarked())
-	}
-	g.retired.Add(uint64(len(ps)))
-	g.batches.Record(len(ps))
+	g.ctr.Handoff(len(ps))
+	g.current().Append(ps, 0)
 }
 
-// RetireSegment implements smr.Guard: the handle is filed in the current
-// epoch's bag as a single entry standing for its whole member run — one
-// epoch check covers all K members instead of K bag entries. DEBRA's
-// garbage is unbounded regardless (like RetireBatch, no splitting is
-// needed); the rotation burst frees the members through the arena's
-// segment fan-out. A handle that is not a live segment degrades to Retire.
+// RetireSegment implements smr.Guard: the handle is filed whole; the
+// rotation burst frees its members through the arena's segment fan-out.
 func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
+	w := g.bags[0].Segment(p) // any bag: all three share seg state and counters
+	if w == 0 {
 		g.Retire(p)
 		return
 	}
+	g.current().AddSegment(p, w, 0)
+}
+
+// current returns the bag of the epoch current now, rotating if the epoch
+// moved and adopting any orphans into it.
+func (g *guard) current() *smr.Bag {
 	if e := g.s.epoch.Load(); e != g.localE {
 		g.rotate(e)
 	}
 	g.adopt()
-	// Note before filing so the rotation burst weighs the handle's run.
-	g.s.seg.Note(w)
-	g.bags[g.localE%3] = append(g.bags[g.localE%3], p.Unmarked())
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
+	return &g.bags[g.localE%3]
 }
 
 // rotate adopts epoch e. Records in the bag for epoch e-2 (and older, if the
@@ -302,45 +267,30 @@ func (g *guard) RetireSegment(p mem.Ptr) {
 func (g *guard) rotate(e uint64) {
 	if e >= g.localE+2 {
 		for i := range g.bags {
-			g.freeBag(i)
+			g.bags[i].FreeAll(g.s.arena, g.tid)
 		}
 	} else {
-		g.freeBag(int((e + 1) % 3)) // == (e-2)%3
+		g.bags[(e+1)%3].FreeAll(g.s.arena, g.tid) // (e+1)%3 == (e-2)%3
 	}
 	g.localE = e
 	g.scanAt = 0 // scan progress was for the previous epoch
 }
 
-func (g *guard) freeBag(i int) {
-	for _, p := range g.bags[i] {
-		// Weigh before Free: freeing a segment handle removes it from the
-		// arena's directory.
-		w := g.s.seg.Weigh(p)
-		g.s.arena.Free(g.tid, p)
-		g.freed.Add(uint64(w))
-	}
-	g.bags[i] = g.bags[i][:0]
-}
-
 // adopt pulls every orphaned record into the *current* epoch's bag. The
-// epoch is re-read (rotating if it moved) immediately before filing: an
-// orphan was retired no later than now, so filing under the freshly read
-// epoch e guarantees it is not freed before rotate(e+2) — two full grace
-// periods after its retirement. Filing under a stale localE would shrink
-// that margin (a drain guard can lag the epoch by ≥2, which would free
-// adopted records with no grace period at all). Adopted records were
-// already counted as retired.
+// records land in the orphans bag first and the epoch is read (rotating if
+// it moved) only after that: an orphan was retired no later than its
+// adoption, so filing under an epoch e read afterwards guarantees it is not
+// freed before rotate(e+2) — two full grace periods after its retirement.
+// Reading the epoch first would let a peer retire under a newer epoch,
+// release its slot and orphan the record in between, and the record would
+// be freed a grace period early. Adopted records were already counted as
+// retired.
 func (g *guard) adopt() {
 	if g.s.HasOrphans() {
+		g.orphans.Adopt(&g.s.Membership, 0, nil)
 		if e := g.s.epoch.Load(); e != g.localE {
 			g.rotate(e)
 		}
-		bag := &g.bags[g.localE%3]
-		*bag = g.s.Adopt(*bag, 0)
+		g.bags[g.localE%3].Merge(&g.orphans)
 	}
-}
-
-// Garbage reports this guard's current limbo population (test hook).
-func (g *guard) Garbage() int {
-	return len(g.bags[0]) + len(g.bags[1]) + len(g.bags[2])
 }

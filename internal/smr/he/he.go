@@ -55,8 +55,7 @@ type Scheme struct {
 	gs         []*guard
 	smr.Membership
 
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight, which scales the declared bound.
+	// seg's largest retired segment weight scales the declared bound.
 	seg smr.SegState
 
 	// forceEras is the ForceRound collection scratch, serialized by forceMu.
@@ -73,7 +72,9 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	s.slots = make([]smr.Pad64, threads*s.cfg.Slots)
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
-		s.gs[i] = &guard{s: s, tid: i, hiSlot: -1}
+		g := &guard{s: s, tid: i, hiSlot: -1}
+		g.bag.Init(&s.seg, &g.ctr, 0, false)
+		s.gs[i] = g
 	}
 	return s
 }
@@ -88,13 +89,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Scans += g.scans.Load()
-		st.Advances += g.advances.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
+		g.ctr.AddTo(&st)
 	}
 	return st
 }
@@ -127,9 +122,6 @@ func (s *Scheme) GarbageBound() int {
 	// and keeps the monotonicity contract (pinned and orphan terms are
 	// weighted watermarks).
 	segW := s.seg.MaxWeight()
-	if segW < 1 {
-		segW = 1
-	}
 	bound := n * (s.cfg.Threshold + (s.cfg.Threshold+2)*segW)
 	for _, g := range s.gs {
 		bound += int(g.pinnedPeak.Load())
@@ -159,8 +151,8 @@ func (s *Scheme) attachThread(tid int) {
 // slot left the active mask.
 func (s *Scheme) ReclaimAll(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.bag) > 0 {
+	g.bag.Adopt(&s.Membership, 0, nil)
+	if g.bag.Len() > 0 {
 		g.sweep()
 	}
 }
@@ -168,21 +160,7 @@ func (s *Scheme) ReclaimAll(tid int) {
 // OrphanSurvivors implements smr.Quiescer: orphan the era-pinned survivors,
 // raising the measured-bound watermark the orphan list contributes to.
 func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	if len(g.bag) > 0 {
-		s.Reg.AddOrphans(g.bag)
-		// Each orphan entry can be a segment handle worth up to segW member
-		// records; the peak is raised at every add, so between adds the list
-		// only shrinks (adoption) and the watermark stays a sound weight
-		// ceiling.
-		w := s.Reg.OrphanCount()
-		if segW := s.seg.MaxWeight(); segW > 1 {
-			w *= segW
-		}
-		s.orphanPeak.Raise(uint64(w))
-		g.bag = g.bag[:0]
-		g.bagW = 0
-	}
+	s.orphanPeak.Raise(uint64(s.gs[tid].bag.Orphan(s.Reg)))
 }
 
 // ResetSlot implements smr.Quiescer: clear tid's era announcements.
@@ -209,8 +187,8 @@ func (s *Scheme) ForceRound() bool {
 // Drain implements smr.Drainer: adopt all orphans and sweep on behalf of tid.
 func (s *Scheme) Drain(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.bag) > 0 {
+	g.bag.Adopt(&s.Membership, 0, nil)
+	if g.bag.Len() > 0 {
 		g.sweep()
 	}
 }
@@ -221,26 +199,14 @@ type guard struct {
 	s      *Scheme
 	tid    int
 	hiSlot int
-	bag    []mem.Ptr
+	bag    smr.Bag
+	ctr    smr.Counters
 	events int
 	eras   []uint64 // sweep scratch
-
-	// bagW is the bag's record weight: len(bag) until a segment handle
-	// lands, after which each handle counts its member run. The sweep
-	// threshold compares against bagW so the bound counts every member.
-	bagW int
 
 	// pinnedPeak is the largest survivor weight any sweep of this guard
 	// kept: the measured pinned-set term of GarbageBound.
 	pinnedPeak smr.Watermark
-
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	scans      smr.Counter
-	advances   smr.Counter
-	segments   smr.Counter // segment handles bagged (RetireSegment pieces)
-	segRecords smr.Counter // member records those handles stood for
 }
 
 func (g *guard) Tid() int { return g.tid }
@@ -287,97 +253,53 @@ func (g *guard) OnStale(p mem.Ptr) {
 	panic("he: use-after-free detected (validation raced a free): " + p.String())
 }
 
-// Retire stamps the record's retire era and sweeps when the bag is full.
-func (g *guard) Retire(p mem.Ptr) {
-	p = p.Unmarked()
-	g.s.arena.Hdr(p).SetRetire(g.s.era.Load())
-	g.bag = append(g.bag, p)
-	g.bagW++
-	g.retired.Inc()
-	g.batches.Record(1)
-	g.tick()
-	if g.bagW >= g.s.cfg.Threshold {
-		g.sweep()
-	}
-}
+func (g *guard) Retire(p mem.Ptr) { g.RetireBatch([]mem.Ptr{p}) }
 
-// RetireBatch implements smr.Guard: the batch lands in the bag in chunks
-// that fill it exactly to the sweep threshold — one era load stamps each
-// chunk (read after every record in the batch was unlinked, so no stamp is
-// older than a single-record Retire would have written), the event clock
-// ticks once per chunk, and the sweep triggers at exactly the bag lengths a
-// per-record Retire loop would hit, so one oversized splice can never
-// stretch the bag beyond the threshold plus its era-pinned survivors.
+// RetireBatch implements smr.Guard under the fill cut: one era load stamps
+// each chunk (read after every record in the batch was unlinked, so no stamp
+// is older than a per-record Retire would have written), the event clock
+// ticks once per chunk, and the sweep triggers at exactly the bag weights a
+// per-record Retire loop would hit.
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.batches.Record(len(ps))
+	g.ctr.Handoff(len(ps))
 	for len(ps) > 0 {
-		take := smr.RetireChunk(g.s.cfg.Threshold, g.bagW, len(ps))
+		take := g.bag.Fill(g.s.cfg.Threshold, len(ps))
 		e := g.s.era.Load()
 		for _, p := range ps[:take] {
-			p = p.Unmarked()
-			g.s.arena.Hdr(p).SetRetire(e)
-			g.bag = append(g.bag, p)
+			g.s.arena.Hdr(p.Unmarked()).SetRetire(e)
 		}
-		g.bagW += take
-		g.retired.Add(uint64(take))
-		g.tickN(take)
+		g.bag.Append(ps[:take], 0)
+		g.retired(take)
 		ps = ps[take:]
-		if g.bagW >= g.s.cfg.Threshold {
-			g.sweep()
-		}
 	}
 }
 
-// RetireSegment implements smr.Guard: the handle lands in the bag as a
-// single entry standing for its whole member run, and — the era schemes'
-// whole win — exactly one birth/retire stamp covers all K members, instead
-// of the per-record header writes RetireBatch pays. The lifetime interval of
-// the handle is the run's: readers protecting any member hold an era inside
-// it, so the sweep's intersection check pins the whole segment or frees the
-// whole segment. The sweep threshold runs against the bag's record weight;
-// an oversized segment is split at the threshold via CarveSegment, each
-// carved piece inheriting the original birth era (the piece stands for
-// members allocated then). A handle that is not a live segment degrades to
-// Retire.
+// RetireSegment implements smr.Guard under the carve cut: one birth/retire
+// stamp covers each piece's members, and every piece inherits the run's
+// birth era (it stands for members allocated then), so the sweep's
+// lifetime check pins or frees a piece whole.
 func (g *guard) RetireSegment(p mem.Ptr) {
-	sa := g.s.seg.Arena()
-	if mem.SegWeight(sa, p) <= 1 {
+	if g.bag.Segment(p) == 0 {
 		g.Retire(p)
 		return
 	}
-	p = p.Unmarked()
-	g.batches.Record(sa.SegmentWeight(p))
-	birth := g.s.arena.Hdr(p).Birth()
-	for p != mem.Null {
-		w := sa.SegmentWeight(p)
-		take := smr.SegChunk(g.s.cfg.Threshold, w)
-		q := p
-		if take < w {
-			q, p = sa.CarveSegment(g.tid, p, take)
-			if p == mem.Null { // carve covered the whole run after all
-				take = w
-			}
-		} else {
-			take, p = w, mem.Null
-		}
-		hdr := g.s.arena.Hdr(q)
+	birth := g.s.arena.Hdr(p.Unmarked()).Birth()
+	g.bag.Carve(g.tid, g.s.cfg.Threshold, p, func(piece mem.Ptr) {
+		hdr := g.s.arena.Hdr(piece)
 		hdr.SetBirth(birth)
 		hdr.SetRetire(g.s.era.Load())
-		// Note before bagging: a concurrent GarbageBound reader must never
-		// see segment garbage under a pre-segment (or lighter) bound.
-		g.s.seg.Note(take)
-		g.bag = append(g.bag, q)
-		g.bagW += take
-		g.retired.Add(uint64(take))
-		g.segments.Inc()
-		g.segRecords.Add(uint64(take))
-		g.tickN(take)
-		if g.bagW >= g.s.cfg.Threshold {
-			g.sweep()
-		}
+	}, g.retired)
+}
+
+// retired ticks the event clock for w bagged records and sweeps once the
+// bag reaches the threshold.
+func (g *guard) retired(w int) {
+	g.tickN(w)
+	if g.bag.Weight() >= g.s.cfg.Threshold {
+		g.sweep()
 	}
 }
 
@@ -390,7 +312,7 @@ func (g *guard) tickN(n int) {
 	for g.events >= g.s.cfg.EraFreq {
 		g.events -= g.s.cfg.EraFreq
 		g.s.era.Add(1)
-		g.advances.Inc()
+		g.ctr.Advanced()
 	}
 }
 
@@ -399,8 +321,7 @@ func (g *guard) tickN(n int) {
 // adopted first so departed threads' garbage rides the same sweep; the
 // survivor count feeds the pinned-set term of GarbageBound.
 func (g *guard) sweep() {
-	g.adopt(g.s.cfg.Threshold)
-	g.scans.Inc()
+	g.bag.Adopt(&g.s.Membership, g.s.cfg.Threshold, nil)
 	if r := g.s.Reg; r != nil {
 		r.BeginScan()
 		defer r.EndScan()
@@ -414,41 +335,18 @@ func (g *guard) sweep() {
 			}
 		}
 	})
-	kept, keptW := g.bag[:0], 0
-	for _, p := range g.bag {
+	g.bag.SweepIf(g.s.arena, g.tid, func(p mem.Ptr, _ uint64) bool {
 		hdr := g.s.arena.Hdr(p)
 		birth, retire := hdr.Birth(), hdr.Retire()
-		conflict := false
 		for _, e := range g.eras {
 			if e >= birth && e <= retire {
-				conflict = true
-				break
+				return true
 			}
 		}
-		// Weigh before a potential Free: freeing a segment handle removes it
-		// from the arena's directory.
-		w := g.s.seg.Weigh(p)
-		if conflict {
-			kept = append(kept, p)
-			keptW += w
-		} else {
-			g.s.arena.Free(g.tid, p)
-			g.freed.Add(uint64(w))
-		}
-	}
-	g.bag = kept
-	g.bagW = keptW
-	// Recorded after the frees so a concurrent sampler can never read the
+		return false
+	})
+	// Raised after the frees so a concurrent sampler can never read the
 	// lowered garbage before the raised bound (GarbageBound is monotone, so
 	// the reverse interleaving is harmless).
-	g.pinnedPeak.Raise(uint64(keptW))
-}
-
-// adopt pulls up to max (all when max <= 0) orphaned records into the bag.
-// Their birth/retire stamps were written when they were first retired, so
-// the usual lifetime check applies unchanged.
-func (g *guard) adopt(max int) {
-	n := len(g.bag)
-	g.bag = g.s.Adopt(g.bag, max)
-	g.bagW += g.s.seg.WeighAll(g.bag[n:])
+	g.pinnedPeak.Raise(uint64(g.bag.Weight()))
 }

@@ -51,8 +51,7 @@ type Scheme struct {
 	forceMu   sync.Mutex
 	forceScan smr.ScanSet
 
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight, which scales the declared bound.
+	// seg's largest retired segment weight scales the declared bound.
 	seg smr.SegState
 }
 
@@ -65,11 +64,9 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	s.forceScan = smr.NewScanSet(threads * s.cfg.Slots)
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
-		s.gs[i] = &guard{
-			s: s, tid: i, hiSlot: -1,
-			scan:      smr.NewScanSet(threads * s.cfg.Slots),
-			freeables: make([]mem.Ptr, 0, s.cfg.Threshold),
-		}
+		g := &guard{s: s, tid: i, hiSlot: -1, scan: smr.NewScanSet(threads * s.cfg.Slots)}
+		g.bag.Init(&s.seg, &g.ctr, s.cfg.Threshold, false)
+		s.gs[i] = g
 	}
 	return s
 }
@@ -84,12 +81,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Scans += g.scans.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
+		g.ctr.AddTo(&st)
 	}
 	return st
 }
@@ -110,9 +102,6 @@ func (s *Scheme) Stats() smr.Stats {
 func (s *Scheme) GarbageBound() int {
 	n := len(s.gs)
 	segW := s.seg.MaxWeight()
-	if segW < 1 {
-		segW = 1
-	}
 	return n*(s.cfg.Threshold+(n*s.cfg.Slots+1)*segW) + n*n*s.cfg.Slots*segW
 }
 
@@ -139,22 +128,15 @@ func (s *Scheme) attachThread(tid int) {
 // the slot left the active mask.
 func (s *Scheme) ReclaimAll(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.bag) > 0 {
+	g.bag.Adopt(&s.Membership, 0, nil)
+	if g.bag.Len() > 0 {
 		g.doScan()
 	}
 }
 
 // OrphanSurvivors implements smr.Quiescer: orphan the protected survivors
 // (≤ N·K) for the next reclaimer to adopt.
-func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	if len(g.bag) > 0 {
-		s.Reg.AddOrphans(g.bag)
-		g.bag = g.bag[:0]
-		g.bagW = 0
-	}
-}
+func (s *Scheme) OrphanSurvivors(tid int) { s.gs[tid].bag.Orphan(s.Reg) }
 
 // ResetSlot implements smr.Quiescer: clear tid's hazard announcements.
 func (s *Scheme) ResetSlot(tid int) { s.attachThread(tid) }
@@ -173,8 +155,8 @@ func (s *Scheme) ForceRound() bool {
 // Drain implements smr.Drainer: adopt all orphans and scan on behalf of tid.
 func (s *Scheme) Drain(tid int) {
 	g := s.gs[tid]
-	g.adopt(0)
-	if len(g.bag) > 0 {
+	g.bag.Adopt(&s.Membership, 0, nil)
+	if g.bag.Len() > 0 {
 		g.doScan()
 	}
 }
@@ -182,23 +164,12 @@ func (s *Scheme) Drain(tid int) {
 func (s *Scheme) slot(tid, i int) *smr.Pad64 { return &s.slots[tid*s.cfg.Slots+i] }
 
 type guard struct {
-	s         *Scheme
-	tid       int
+	s      *Scheme
+	tid    int
 	hiSlot int
-	bag    []mem.Ptr
-	// bagW is the buffer's record weight: len(bag) until a segment handle
-	// lands, after which each handle counts its member run. The scan
-	// threshold compares against bagW so the bound counts every member.
-	bagW      int
-	scan      smr.ScanSet // scan scratch, reused
-	freeables []mem.Ptr   // scan scratch: the batch handed to FreeBatch
-
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	scans      smr.Counter
-	segments   smr.Counter // segment handles bagged (RetireSegment pieces)
-	segRecords smr.Counter // member records those handles stood for
+	bag    smr.Bag
+	ctr    smr.Counters
+	scan   smr.ScanSet // scan scratch, reused
 }
 
 func (g *guard) Tid() int { return g.tid }
@@ -239,70 +210,38 @@ func (g *guard) OnStale(p mem.Ptr) {
 	panic("hp: use-after-free detected (validation raced a free): " + p.String())
 }
 
-func (g *guard) Retire(p mem.Ptr) {
-	g.bag = append(g.bag, p.Unmarked())
-	g.bagW++
-	g.retired.Inc()
-	g.batches.Record(1)
-	if g.bagW >= g.s.cfg.Threshold {
-		g.doScan()
-	}
-}
+func (g *guard) Retire(p mem.Ptr) { g.RetireBatch([]mem.Ptr{p}) }
 
-// RetireBatch implements smr.Guard: the batch lands in the buffer in chunks
-// that fill it exactly to the scan threshold, so the whole unlink pays one
-// threshold check per threshold's worth of records (not one per record) and
-// a single splice can never stretch the buffer — and the garbage bound —
-// beyond Threshold plus the protected survivors. The scan trigger points
-// are exactly the ones a per-record Retire loop would hit, so splitting is
-// observationally equivalent to the loop.
+// RetireBatch implements smr.Guard under the fill cut: one threshold check
+// per threshold's worth of records, at exactly the buffer weights a
+// per-record Retire loop would scan at, so a single splice can never
+// stretch the buffer — and the bound — beyond Threshold plus the protected
+// survivors.
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.batches.Record(len(ps))
+	g.ctr.Handoff(len(ps))
 	for len(ps) > 0 {
-		take := smr.RetireChunk(g.s.cfg.Threshold, g.bagW, len(ps))
-		for _, p := range ps[:take] {
-			g.bag = append(g.bag, p.Unmarked())
-		}
-		g.bagW += take
-		g.retired.Add(uint64(take))
+		take := g.bag.Fill(g.s.cfg.Threshold, len(ps))
+		g.bag.Append(ps[:take], 0)
 		ps = ps[take:]
-		if g.bagW >= g.s.cfg.Threshold {
+		if g.bag.Weight() >= g.s.cfg.Threshold {
 			g.doScan()
 		}
 	}
 }
 
-// RetireSegment implements smr.Guard: the handle lands in the buffer as a
-// single entry standing for its whole member run — one bag append and one
-// hazard-scan participation for K unlinked records — while the threshold
-// check runs against the buffer's record weight. The handle is never carved:
-// hazard protection is by handle identity (readers announce *this* handle,
-// and doScan matches bag entries against announcements by that identity), so
-// a carved prefix's fresh head handle would appear in no announcement and
-// its member cells would be freed under a reader the original handle's
-// hazard still covers. An oversized segment therefore lands whole — a
-// one-append overshoot the bound's segment-weight term absorbs (see
-// GarbageBound) — and the post-append scan drains it. A handle that is not a
-// live segment degrades to Retire.
+// RetireSegment implements smr.Guard: hazards name handles, so the segment
+// is bagged whole (see smr.Guard.RetireSegment).
 func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
+	w := g.bag.Segment(p)
+	if w == 0 {
 		g.Retire(p)
 		return
 	}
-	// Note before bagging: a concurrent GarbageBound reader must never
-	// see segment garbage under a pre-segment (or lighter) bound.
-	g.s.seg.Note(w)
-	g.bag = append(g.bag, p.Unmarked())
-	g.bagW += w
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
-	if g.bagW >= g.s.cfg.Threshold {
+	g.bag.AddSegment(p, w, 0)
+	if g.bag.Weight() >= g.s.cfg.Threshold {
 		g.doScan()
 	}
 }
@@ -313,22 +252,11 @@ func (g *guard) RetireSegment(p mem.Ptr) {
 // orphaned records are adopted first, so departed threads' garbage rides the
 // same sweep.
 func (g *guard) doScan() {
-	g.adopt(g.s.cfg.Threshold)
-	g.scans.Inc()
+	g.bag.Adopt(&g.s.Membership, g.s.cfg.Threshold, nil)
 	if r := g.s.Reg; r != nil {
 		r.BeginScan()
 		defer r.EndScan()
 	}
 	g.scan.CollectRows(g.s.slots, g.s.cfg.Slots, g.s.ActiveMask)
-	var freedW int
-	g.bag, g.freeables, freedW, g.bagW = g.scan.SweepBagSeg(
-		g.s.arena, g.s.seg.Active(), g.tid, g.bag, len(g.bag), g.freeables)
-	g.freed.Add(uint64(freedW))
-}
-
-// adopt pulls up to max (all when max <= 0) orphaned records into the bag.
-func (g *guard) adopt(max int) {
-	n := len(g.bag)
-	g.bag = g.s.Adopt(g.bag, max)
-	g.bagW += g.s.seg.WeighAll(g.bag[n:])
+	g.bag.SweepSet(&g.scan, g.s.arena, g.tid, g.bag.Len())
 }

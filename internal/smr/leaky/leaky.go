@@ -13,16 +13,15 @@ import (
 type Scheme struct {
 	gs []*guard
 
-	// seg resolves segment handles so RetireSegment can account the member
+	// sa resolves segment handles so RetireSegment can account the member
 	// records a leaked segment stands for; the records still leak.
-	seg smr.SegState
+	sa mem.SegmentArena
 }
 
 // New creates a leaky scheme for the given number of threads. The arena is
 // only consulted to weigh retired segment handles; nothing is ever freed.
 func New(arena mem.Arena, threads int) *Scheme {
-	s := &Scheme{gs: make([]*guard, threads)}
-	s.seg.Init(arena)
+	s := &Scheme{gs: make([]*guard, threads), sa: mem.AsSegmentArena(arena)}
 	for i := range s.gs {
 		s.gs[i] = &guard{s: s, tid: i}
 	}
@@ -39,10 +38,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
+		g.ctr.AddTo(&st)
 	}
 	return st
 }
@@ -64,12 +60,9 @@ func (s *Scheme) AttachRegistry(*smr.Registry) {}
 func (s *Scheme) Drain(int) {}
 
 type guard struct {
-	s          *Scheme
-	tid        int
-	retired    smr.Counter
-	batches    smr.BatchHist
-	segments   smr.Counter // segment handles dropped (RetireSegment calls)
-	segRecords smr.Counter // member records those handles stood for
+	s   *Scheme
+	tid int
+	ctr smr.Counters
 }
 
 func (g *guard) Tid() int              { return g.tid }
@@ -81,27 +74,22 @@ func (g *guard) EndRead()              {}
 func (g *guard) Protect(int, mem.Ptr)  {}
 func (g *guard) NeedsValidation() bool { return false }
 func (g *guard) OnAlloc(mem.Ptr)       {}
-func (g *guard) Retire(mem.Ptr)        { g.retired.Inc(); g.batches.Record(1) }
+func (g *guard) Retire(mem.Ptr)        { g.ctr.Drop(1, false) }
+
 func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
+	if len(ps) > 0 {
+		g.ctr.Drop(len(ps), false)
 	}
-	g.retired.Add(uint64(len(ps)))
-	g.batches.Record(len(ps))
 }
+
 // RetireSegment implements smr.Guard: count the member records the handle
 // stands for, then drop it on the floor like every other retire.
 func (g *guard) RetireSegment(p mem.Ptr) {
-	w := mem.SegWeight(g.s.seg.Arena(), p)
-	if w <= 1 {
+	if w := mem.SegWeight(g.s.sa, p); w > 1 {
+		g.ctr.Drop(w, true)
+	} else {
 		g.Retire(p)
-		return
 	}
-	g.s.seg.Note(w)
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
 }
 
 func (g *guard) OnStale(p mem.Ptr) {

@@ -34,10 +34,6 @@ type Scheme struct {
 	announce []smr.Pad64
 	gs       []*guard
 	smr.Membership
-
-	// seg is the segment-retirement state: the arena's segment interface and
-	// the largest retired segment weight (weighted accounting only — the
-	// scheme's garbage stays unbounded either way).
 	seg smr.SegState
 }
 
@@ -49,7 +45,9 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	s.epoch.Store(2) // headroom so tag+2 arithmetic never wraps below zero
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
-		s.gs[i] = &guard{s: s, tid: i}
+		g := &guard{s: s, tid: i}
+		g.bag.Init(&s.seg, &g.ctr, 0, true)
+		s.gs[i] = g
 	}
 	return s
 }
@@ -64,13 +62,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		st.Retired += g.retired.Load()
-		g.batches.AddTo(&st.BatchHist)
-		st.Freed += g.freed.Load()
-		st.Scans += g.scans.Load()
-		st.Advances += g.advances.Load()
-		st.Segments += g.segments.Load()
-		st.SegRecords += g.segRecords.Load()
+		g.ctr.AddTo(&st)
 	}
 	return st
 }
@@ -104,7 +96,7 @@ func (s *Scheme) attachThread(tid int) {
 func (s *Scheme) ReclaimAll(tid int) {
 	g := s.gs[tid]
 	g.adopt()
-	if len(g.bag) > 0 {
+	if g.bag.Len() > 0 {
 		g.tryAdvance()
 		g.sweep()
 	}
@@ -113,18 +105,7 @@ func (s *Scheme) ReclaimAll(tid int) {
 // OrphanSurvivors implements smr.Quiescer: orphan the rest of the bag for
 // the next reclaimer (re-tagged at adoption with the adopter's current
 // epoch — later than the original tag, so strictly conservative).
-func (s *Scheme) OrphanSurvivors(tid int) {
-	g := s.gs[tid]
-	if len(g.bag) > 0 {
-		orphans := make([]mem.Ptr, 0, len(g.bag))
-		for _, e := range g.bag {
-			orphans = append(orphans, e.p)
-		}
-		s.Reg.AddOrphans(orphans)
-		g.bag = g.bag[:0]
-		g.bagW = 0
-	}
-}
+func (s *Scheme) OrphanSurvivors(tid int) { s.gs[tid].bag.Orphan(s.Reg) }
 
 // ResetSlot implements smr.Quiescer: nothing to clear — an inactive slot's
 // epoch announcement is ignored by advance/sweep, and attachThread
@@ -158,30 +139,12 @@ func (s *Scheme) Drain(tid int) {
 	g.sweep()
 }
 
-type entry struct {
-	p   mem.Ptr
-	tag uint64
-}
-
 type guard struct {
 	s          *Scheme
 	tid        int
-	bag []entry
-	// bagW is the bag's record weight: len(bag) until a segment handle
-	// lands, after which each handle counts its member run. The sweep
-	// threshold compares against bagW so reclamation pressure tracks real
-	// garbage.
-	bagW       int
-	scratch    []mem.Ptr // orphan-adoption buffer, reused
+	bag        smr.Bag // tagged with the retiring epoch
+	ctr        smr.Counters
 	sinceSweep int
-
-	retired    smr.Counter
-	batches    smr.BatchHist
-	freed      smr.Counter
-	scans      smr.Counter
-	advances   smr.Counter
-	segments   smr.Counter // segment handles bagged (RetireSegment calls)
-	segRecords smr.Counter // member records those handles stood for
 }
 
 func (g *guard) Tid() int { return g.tid }
@@ -204,70 +167,39 @@ func (g *guard) OnStale(p mem.Ptr) {
 	panic("qsbr: use-after-free detected: " + p.String())
 }
 
-func (g *guard) Retire(p mem.Ptr) {
-	g.bag = append(g.bag, entry{p.Unmarked(), g.s.epoch.Load()})
-	g.bagW++
-	g.retired.Inc()
-	g.batches.Record(1)
-	g.sinceSweep++
-	// Amortize: when the epoch is stuck (a delayed thread), re-scanning on
-	// every retire would turn the bag into an O(n) cost per operation; real
-	// QSBR implementations retry a grace-period check only periodically.
-	if g.bagW >= g.s.cfg.Threshold && g.sinceSweep >= g.s.cfg.Threshold/4 {
-		g.sinceSweep = 0
-		g.adopt()
-		g.tryAdvance()
-		g.sweep()
-	}
-}
+func (g *guard) Retire(p mem.Ptr) { g.RetireBatch([]mem.Ptr{p}) }
 
 // RetireBatch implements smr.Guard: one epoch load tags the whole batch
 // (read after every record was unlinked, so no tag is older than a
-// per-record loop would have written) and the amortized sweep check runs
-// once for the batch.
+// per-record loop would have written) and the sweep check runs once.
 func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	tag := g.s.epoch.Load()
-	for _, p := range ps {
-		g.bag = append(g.bag, entry{p.Unmarked(), tag})
-	}
-	g.bagW += len(ps)
-	g.retired.Add(uint64(len(ps)))
-	g.batches.Record(len(ps))
-	g.sinceSweep += len(ps)
-	if g.bagW >= g.s.cfg.Threshold && g.sinceSweep >= g.s.cfg.Threshold/4 {
-		g.sinceSweep = 0
-		g.adopt()
-		g.tryAdvance()
-		g.sweep()
-	}
+	g.ctr.Handoff(len(ps))
+	g.bag.Append(ps, g.s.epoch.Load())
+	g.retired(len(ps))
 }
 
-// RetireSegment implements smr.Guard: the handle lands in the bag as a
-// single entry standing for its whole member run — one epoch tag covers all
-// K members instead of K per-record bag entries. The scheme's garbage is
-// unbounded regardless (like RetireBatch, no splitting is needed); the
-// weighted bag population keeps the sweep cadence tracking real garbage. A
-// handle that is not a live segment degrades to Retire.
+// RetireSegment implements smr.Guard: the handle is bagged whole under one
+// epoch tag.
 func (g *guard) RetireSegment(p mem.Ptr) {
-	sa := g.s.seg.Arena()
-	w := mem.SegWeight(sa, p)
-	if w <= 1 {
+	w := g.bag.Segment(p)
+	if w == 0 {
 		g.Retire(p)
 		return
 	}
-	// Note before bagging so weighted sweeps see the handle's run.
-	g.s.seg.Note(w)
-	g.bag = append(g.bag, entry{p.Unmarked(), g.s.epoch.Load()})
-	g.bagW += w
-	g.retired.Add(uint64(w))
-	g.batches.Record(w)
-	g.segments.Inc()
-	g.segRecords.Add(uint64(w))
+	g.bag.AddSegment(p, w, g.s.epoch.Load())
+	g.retired(w)
+}
+
+// retired is the sweep check after w records were bagged. It is amortized:
+// when the epoch is stuck (a delayed thread), re-scanning on every retire
+// would turn the bag into an O(n) cost per operation; real QSBR
+// implementations retry a grace-period check only periodically.
+func (g *guard) retired(w int) {
 	g.sinceSweep += w
-	if g.bagW >= g.s.cfg.Threshold && g.sinceSweep >= g.s.cfg.Threshold/4 {
+	if g.bag.Weight() >= g.s.cfg.Threshold && g.sinceSweep >= g.s.cfg.Threshold/4 {
 		g.sinceSweep = 0
 		g.adopt()
 		g.tryAdvance()
@@ -290,7 +222,7 @@ func (g *guard) tryAdvance() {
 		return
 	}
 	if g.s.epoch.CompareAndSwap(e, e+1) {
-		g.advances.Inc()
+		g.ctr.Advanced()
 	}
 }
 
@@ -298,7 +230,6 @@ func (g *guard) tryAdvance() {
 // active readers (a thread that activates later starts at the current
 // epoch, so it can never resurrect an older tag).
 func (g *guard) sweep() {
-	g.scans.Inc()
 	if r := g.s.Reg; r != nil {
 		r.BeginScan()
 		defer r.EndScan()
@@ -309,39 +240,10 @@ func (g *guard) sweep() {
 			min = a
 		}
 	})
-	kept, keptW := g.bag[:0], 0
-	for _, e := range g.bag {
-		// Weigh before a potential Free: freeing a segment handle removes
-		// it from the arena's directory.
-		w := g.s.seg.Weigh(e.p)
-		if e.tag+2 <= min {
-			g.s.arena.Free(g.tid, e.p)
-			g.freed.Add(uint64(w))
-		} else {
-			kept = append(kept, e)
-			keptW += w
-		}
-	}
-	g.bag = kept
-	g.bagW = keptW
+	g.bag.SweepIf(g.s.arena, g.tid, func(_ mem.Ptr, tag uint64) bool { return tag+2 > min })
 }
 
 // adopt pulls every orphaned record into the bag, tagged with the current
 // epoch — at least as late as the tag its original thread would have used,
-// so the two-grace-period rule stays conservative. Adopted records were
-// already counted as retired.
-func (g *guard) adopt() {
-	if !g.s.HasOrphans() {
-		return
-	}
-	if g.scratch == nil {
-		g.scratch = make([]mem.Ptr, 0, 64)
-	}
-	g.scratch = g.s.Adopt(g.scratch[:0], 0)
-	tag := g.s.epoch.Load()
-	for _, p := range g.scratch {
-		g.bag = append(g.bag, entry{p, tag})
-	}
-	g.bagW += g.s.seg.WeighAll(g.scratch)
-	g.scratch = g.scratch[:0]
-}
+// so the two-grace-period rule stays conservative.
+func (g *guard) adopt() { g.bag.Adopt(&g.s.Membership, 0, &g.s.epoch) }

@@ -446,16 +446,6 @@ func (m *Membership) HasOrphans() bool {
 	return m.Reg != nil && m.Reg.OrphanCount() > 0
 }
 
-// Adopt pulls up to max (all when max <= 0) orphaned records into dst. The
-// records were counted as retired by their original thread; the adopter
-// must free them under its own protocol without re-counting.
-func (m *Membership) Adopt(dst []mem.Ptr, max int) []mem.Ptr {
-	if !m.HasOrphans() {
-		return dst
-	}
-	return m.Reg.AdoptOrphans(dst, max)
-}
-
 // AddOrphans appends a departing thread's unreclaimable records to the
 // shared orphan list. The slice is not retained.
 func (r *Registry) AddOrphans(ps []mem.Ptr) {

@@ -50,10 +50,12 @@ func (s *SegState) Note(w int) {
 	}
 }
 
-// MaxWeight returns the largest segment weight retired so far (0 when no
-// segment was ever retired). Monotone non-decreasing, so GarbageBound
-// formulas scaled by it keep the bound's monotonicity contract.
-func (s *SegState) MaxWeight() int { return int(s.maxW.Load()) }
+// MaxWeight returns the largest record weight one bag entry can carry: the
+// largest segment weight retired so far, or 1 before the first segment.
+// Monotone non-decreasing, so GarbageBound formulas scaled by it collapse to
+// their pre-segment forms exactly and keep the bound's monotonicity
+// contract.
+func (s *SegState) MaxWeight() int { return max(int(s.maxW.Load()), 1) }
 
 // Weigh returns the garbage weight of a bag entry: SegWeight gated on the
 // scheme ever having seen a segment.

@@ -84,14 +84,20 @@ type Guard interface {
 	// bags and scans the handle once — its garbage accounting counts all K
 	// member records — but the per-record fan-out happens inside the arena
 	// at free time, so the scheme-side cost of a bulk retirement is O(1)
-	// however large the run. Era-interval schemes (he, ibr) split an
-	// oversized segment at their watermark (mem.SegmentArena.CarveSegment,
-	// pieces inheriting the run's birth era), the same contract RetireBatch
-	// honours; identity-based schemes (hp, nbr) must NOT carve — readers
-	// protect the run by announcing/reserving the original handle, which a
-	// carved piece's fresh head handle never appears as — so they bag the
-	// handle whole at full weight, an overshoot their declared bounds
-	// account for. Calling it with a non-segment handle degrades to Retire.
+	// however large the run. Calling it with a non-segment handle degrades
+	// to Retire.
+	//
+	// Who may carve an oversized segment depends on how readers name what
+	// they protect. Era-interval schemes (he, ibr) protect by era: they
+	// split it at their threshold (Bag.Carve), every piece inheriting the
+	// run's birth era, the same contract RetireBatch honours. Identity-based
+	// schemes (hp, nbr) must NOT carve: readers announce or reserve the
+	// original handle and the sweep matches bag entries by that identity, so
+	// a carved piece's fresh head handle would appear in no announcement and
+	// its members would be freed under a reader the original handle still
+	// covers. They bag the handle whole at full weight (Bag.AddSegment), a
+	// one-append overshoot their declared bounds account for. Epoch schemes
+	// bag it whole too; grace periods name no records.
 	RetireSegment(p mem.Ptr)
 	// OnAlloc is invoked right after allocating a record (era schemes stamp
 	// the birth era).
@@ -285,49 +291,6 @@ func (s Stats) Garbage() uint64 {
 // double-free-grade bug, never a benign state.
 func (s Stats) Invalid() bool {
 	return s.Freed > s.Retired
-}
-
-// RetireChunk sizes the next chunk of a split RetireBatch for a
-// threshold-triggered scheme (hp/he/ibr): the records that fill the bag
-// exactly to the scan threshold — so the post-append scan check fires at
-// the same bag lengths a per-record Retire loop would hit — degrading to
-// single records when the bag is already at or past the threshold (the
-// last scan freed nothing), exactly as the loop would. Centralizing the
-// policy keeps the three schemes' split semantics from diverging.
-func RetireChunk(threshold, bagLen, avail int) int {
-	take := threshold - bagLen
-	if take < 1 {
-		take = 1
-	}
-	if take > avail {
-		take = avail
-	}
-	return take
-}
-
-// SegChunk sizes the next carve of an oversized segment for the carving
-// (era-interval) schemes: whole threshold-weight pieces, independent of the
-// current bag fill. RetireChunk's fill-to-threshold policy is wrong here —
-// when a sweep leaves the bag pinned at the threshold (era survivors, which
-// unlike NBR's reclamation can exceed any fixed residue), it degrades to
-// single-record carves, which is per-record retirement paying an extra
-// directory split per record. Whole pieces keep the carve count at
-// ceil(weight/threshold) — the amortization the segment seam exists for —
-// and cap every piece's weight at the threshold, so the segment-weight term
-// of GarbageBound never grows past it; the post-append sweep still fires at
-// bag weight ≥ threshold, and the one in-flight piece per thread is covered
-// by the bound's per-entry segment-weight slack. Only he and ibr may carve:
-// their pieces inherit the run's birth era, so interval protection covers
-// them. Identity-based schemes (hp, nbr) bag handles whole — see
-// Guard.RetireSegment.
-func SegChunk(threshold, avail int) int {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if threshold > avail {
-		return avail
-	}
-	return threshold
 }
 
 // Execute runs one data-structure operation body under g, restarting it when

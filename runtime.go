@@ -639,9 +639,10 @@ func (rt *Runtime) MemStats() MemStats {
 // record count (or Unbounded). It is declared once per runtime and covers
 // every attached structure: all structures retire into the same per-thread
 // bags, so the per-structure garbage aggregates inside the single scheme
-// bound instead of summing one bound per structure. Before the first lease
-// the bound is 0 — no lease, no retire, no garbage — and it rises to the
-// scheme's declared bound when the first Acquire builds the scheme.
+// bound instead of summing one bound per structure. It reads 0 until the
+// first lease builds the scheme — no lease, no retire, no garbage — and
+// reading it does not build the scheme, which would freeze the widths of
+// structures attached later with NewSet.
 func (rt *Runtime) GarbageBound() int {
 	if b := rt.sch.Load(); b != nil {
 		return b.s.GarbageBound()
