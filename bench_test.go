@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 const (
@@ -43,8 +44,8 @@ var benchMixes = []struct {
 
 func runCell(b *testing.B, w bench.Workload) {
 	b.Helper()
-	if w.Cfg == (bench.SchemeConfig{}) {
-		w.Cfg = bench.DefaultSchemeConfig()
+	if w.Cfg == (catalog.SchemeConfig{}) {
+		w.Cfg = catalog.DefaultSchemeConfig()
 	}
 	w.Duration = benchDuration
 	w.Prefill = -1
@@ -211,7 +212,7 @@ func BenchmarkAblateSignals(b *testing.B) {
 		b.Run(s, func(b *testing.B) {
 			w := bench.Workload{DS: "dgt", Scheme: s, Threads: benchThreads,
 				KeyRange: treeRange, InsPct: 50, DelPct: 50,
-				Duration: benchDuration, Prefill: -1, Cfg: bench.DefaultSchemeConfig()}
+				Duration: benchDuration, Prefill: -1, Cfg: catalog.DefaultSchemeConfig()}
 			var signalsPerKop float64
 			for i := 0; i < b.N; i++ {
 				r, err := bench.Run(w)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
@@ -59,7 +60,7 @@ func main() {
 		return
 	}
 
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = *bag
 	cfg.LoFraction = *lowm
 	cfg.SendSpin = *sigspin
@@ -112,7 +113,7 @@ func main() {
 	}
 
 	if *experiment == "table1" {
-		bench.PrintTable1(os.Stdout)
+		catalog.PrintTable1(os.Stdout)
 		return
 	}
 	e, ok := bench.Lookup(*experiment)

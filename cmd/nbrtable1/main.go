@@ -13,14 +13,14 @@ import (
 	"path/filepath"
 	"strings"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
 	loc := flag.Bool("loc", false, "count SMR-integration call sites per data structure (Fig. 2 / §5.3)")
 	flag.Parse()
 
-	bench.PrintTable1(os.Stdout)
+	catalog.PrintTable1(os.Stdout)
 	if !*loc {
 		return
 	}

@@ -2,23 +2,23 @@
 // Based Reclamation" (Singh, Brown, Mashtizadeh; PPoPP 2021), and a usable
 // library around it.
 //
-// The public API has two entry points. The Domain (nbr.New) is one
-// reclamation-protected concurrent ordered set with dynamic thread
-// membership: handler goroutines Acquire a Lease, operate through it, and
-// Release it on the way out — thread slots recycle across any number of
-// short-lived goroutines, departing threads leak nothing (their in-flight
-// reclamation state is adopted by later reclaimers), and the scheme's
-// declared garbage bound holds across the churn. See examples/quickstart.
+// The public API has one face. A Runtime (nbr.NewRuntime) is a shared
+// reclamation substrate: one lease registry, one scheme instance and one
+// arena serve every Set attached via NewSet. Handler goroutines Acquire a
+// Lease, operate on any attached set through it (set.Insert(lease, key)),
+// and Release it on the way out — thread slots recycle across any number
+// of short-lived goroutines, departing threads leak nothing (their
+// in-flight reclamation state is adopted by later reclaimers), and the
+// scheme's garbage bound is declared once and holds across the
+// churn and across every attached set. AcquireCtx provides FIFO blocking
+// admission with context cancellation instead of spin-retry, and With is
+// the panic-safe request envelope. See examples/server for the runtime
+// under real net/http traffic and DESIGN.md §10 for the layer's design.
 //
-// The Runtime (nbr.NewRuntime) is the shared reclamation substrate behind
-// it, exposed for services hosting several structures: one lease registry,
-// one scheme instance and one arena serve every Set attached via NewSet, so
-// a single Lease per request covers all of a handler's structures, the
-// garbage bound is declared once and aggregates across them, and
-// AcquireCtx provides FIFO blocking admission with context cancellation
-// instead of spin-retry. A Domain is a thin attachment over a private
-// one-set Runtime. See examples/server for the runtime under real
-// net/http traffic and DESIGN.md §10 for the layer's design.
+// A Domain (nbr.New) is that same Runtime with exactly one Set attached:
+// it embeds both, so d.Acquire, d.Insert(lease, key), d.Drain and d.Stats
+// are the Runtime's and the Set's own methods, and Options is the
+// structure name plus the RuntimeOptions. See examples/quickstart.
 //
 // The paper's algorithms live in internal/core; the substrates that make
 // them expressible under a garbage-collected runtime live in internal/mem
@@ -28,9 +28,10 @@
 // algorithms, internal/ds/* the evaluated data structures (the paper's five
 // plus a resizable split-ordered hash map whose doubling retires each old
 // bucket array as one segment — K records behind a single scheme-side stamp;
-// DESIGN.md §14), and internal/bench the harness that regenerates every
-// figure of the paper's evaluation (driven by cmd/nbrbench or the top-level
-// testing.B benchmarks in bench_test.go).
+// DESIGN.md §14), internal/catalog the by-name constructors the public
+// package and the harnesses share, and internal/bench the harness that
+// regenerates every figure of the paper's evaluation (driven by
+// cmd/nbrbench or the top-level testing.B benchmarks in bench_test.go).
 //
 // The runtime is observable in time, not just in count: every Runtime
 // carries a per-thread flight recorder (internal/obs) — fixed rings of

@@ -1,24 +1,20 @@
 package nbr
 
 import (
-	"context"
 	"errors"
 	"time"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/mem"
 	"nbr/internal/smr"
 )
 
-// This file is the library's single-structure face: a Domain bundles one
-// concurrent ordered set with its own private Runtime (registry + scheme +
-// arena), so the common case — one structure, one service — needs no
-// explicit runtime management. Since the runtime layer landed, Domain is a
-// thin attachment: construction builds a one-set Runtime sized to the
-// structure's exact announcement widths, and every method delegates.
-// Services hosting several structures over one shared registry/arena (one
-// lease covering all of them) use NewRuntime/Runtime.NewSet directly; see
-// runtime.go and examples/server.
+// This file is the library's single-structure face: a Domain is a Runtime
+// with exactly one Set attached, so the common case — one structure, one
+// service — needs no explicit runtime management, yet every Runtime and Set
+// method is available on it unchanged. Services hosting several structures
+// over one shared registry/arena (one lease covering all of them) use
+// NewRuntime/Runtime.NewSet directly; see runtime.go and examples/server.
 
 // Stats re-exports the reclamation counters (see smr.Stats).
 type Stats = smr.Stats
@@ -48,77 +44,32 @@ const (
 	MaxKey uint64 = ^uint64(0)
 )
 
-// Schemes lists the reclamation schemes a Domain can run, in the order the
+// Schemes lists the reclamation schemes a Runtime can run, in the order the
 // paper's figures present them.
-func Schemes() []string { return append([]string(nil), bench.SchemeNames...) }
+func Schemes() []string { return append([]string(nil), catalog.SchemeNames...) }
 
-// Structures lists the concurrent ordered sets a Domain can host.
-func Structures() []string { return append([]string(nil), bench.DSNames...) }
+// Structures lists the concurrent ordered sets a Runtime can host.
+func Structures() []string { return append([]string(nil), catalog.DSNames...) }
 
-// Options configures a Domain. The zero value selects the paper's defaults:
-// an NBR+-protected lazy list sized for a moderately parallel host.
+// Options configures a Domain: the structure it hosts plus the options of
+// its private Runtime. The zero value selects an NBR+-protected lazy list
+// sized for a moderately parallel host.
 type Options struct {
 	// Structure names the concurrent ordered set (see Structures).
 	// Default "lazylist".
 	Structure string
-	// Scheme names the reclamation scheme (see Schemes). Default "nbr+".
-	Scheme string
-	// MaxThreads is the lease-registry capacity: the most goroutines that
-	// can hold a lease at once. Size it for peak concurrency, not for the
-	// total goroutine population — scans and signal broadcasts cost
-	// proportional to *live* leases, so over-provisioning is cheap.
-	// Default 2·GOMAXPROCS, at least 8.
-	MaxThreads int
-	// LeaseTimeout arms the lease watchdog (see RuntimeOptions.LeaseTimeout):
-	// a holder outstanding past Acquire + LeaseTimeout is reaped and its slot
-	// recovered. Zero disables reaping.
-	LeaseTimeout time.Duration
-
-	// The scheme knobs, as in the experiments (zero selects each scheme's
-	// default; see DESIGN.md §6 for the rationale behind the defaults).
-	BagSize    int     // NBR limbo-bag HiWatermark
-	LoFraction float64 // NBR+ LoWatermark position
-	ScanFreq   int     // NBR+ announceTS scan cadence
-	Threshold  int     // retire-buffer depth for hp/he/ibr/qsbr/rcu
-	EraFreq    int     // era-advance period for he/ibr
-	SendSpin   int     // simulated signal-send cost
-	HandleSpin int     // simulated signal-delivery cost
+	RuntimeOptions
 }
 
-func (o Options) withDefaults() Options {
-	if o.Structure == "" {
-		o.Structure = "lazylist"
-	}
-	ro := o.runtime().withDefaults()
-	o.Scheme = ro.Scheme
-	o.MaxThreads = ro.MaxThreads
-	return o
-}
-
-// runtime maps the Domain options onto the shared-runtime options.
-func (o Options) runtime() RuntimeOptions {
-	return RuntimeOptions{
-		Scheme:       o.Scheme,
-		MaxThreads:   o.MaxThreads,
-		LeaseTimeout: o.LeaseTimeout,
-		BagSize:      o.BagSize,
-		LoFraction:   o.LoFraction,
-		ScanFreq:     o.ScanFreq,
-		Threshold:    o.Threshold,
-		EraFreq:      o.EraFreq,
-		SendSpin:     o.SendSpin,
-		HandleSpin:   o.HandleSpin,
-	}
-}
-
-// Domain is one reclamation-protected concurrent set with dynamic thread
-// membership. Goroutines call Acquire for a Lease, operate through it, and
-// Release it when done; leases recycle across any number of short-lived
-// goroutines. All methods except Len and Validate are safe for concurrent
-// use.
+// Domain is a Runtime with exactly one Set attached: goroutines Acquire a
+// Lease, operate on the set through it (d.Insert(lease, key)), and Release
+// it when done; leases recycle across any number of short-lived goroutines.
+// Every Runtime and Set method is promoted unchanged, so the embedded
+// Runtime can host further sets and d.Name() names the structure. All
+// methods except Len and Validate are safe for concurrent use.
 type Domain struct {
-	rt  *Runtime
-	set *Set
+	*Runtime
+	*Set
 }
 
 // New creates a Domain: a private one-structure Runtime whose scheme is
@@ -126,10 +77,13 @@ type Domain struct {
 // bare Runtime — which defers scheme construction so later attachments can
 // widen it — a Domain materializes its scheme eagerly: the structure is
 // known, its widths are final, and the domain is ready to serve its first
-// Acquire without a construction step on the lease path.
+// Acquire without a construction step on the lease path. Sets attached to
+// d.Runtime later must fit those widths.
 func New(opts Options) (*Domain, error) {
-	opts = opts.withDefaults()
-	rt, err := NewRuntime(opts.runtime())
+	if opts.Structure == "" {
+		opts.Structure = "lazylist"
+	}
+	rt, err := NewRuntime(opts.RuntimeOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -140,94 +94,21 @@ func New(opts Options) (*Domain, error) {
 	if _, err := rt.materialize(); err != nil {
 		return nil, err
 	}
-	return &Domain{rt: rt, set: set}, nil
+	return &Domain{Runtime: rt, Set: set}, nil
 }
 
-// Runtime returns the domain's underlying shared-reclamation runtime. More
-// structures can be attached to it with NewSet; they share the domain's
-// thread slots, stats and garbage bound. Note that a domain's scheme is
-// sized to its own structure's exact announcement widths, so NewSet refuses
-// attachments declaring wider needs — services planning several structures
-// should start from NewRuntime, whose scheme is sized for all of them.
-func (d *Domain) Runtime() *Runtime { return d.rt }
-
-// Acquire leases a thread slot for the calling goroutine. Release the lease
-// when the goroutine's burst of work is done; holding it across long idle
-// periods is harmless (an idle lease blocks nothing under NBR), but the
-// registry can only serve MaxThreads concurrent holders.
-func (d *Domain) Acquire() (*Lease, error) {
-	l, err := d.rt.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	l.set = d.set
-	return l, nil
-}
-
-// AcquireCtx leases a thread slot, blocking FIFO-fairly while the registry
-// is full until a slot frees or ctx is done (see Runtime.AcquireCtx).
-func (d *Domain) AcquireCtx(ctx context.Context) (*Lease, error) {
-	l, err := d.rt.AcquireCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	l.set = d.set
-	return l, nil
-}
-
-// With runs fn under a freshly acquired lease with the panic-safe release
-// guarantee of Runtime.With; the lease operates on the domain's set directly
-// (lease.Insert(key) etc.).
-func (d *Domain) With(ctx context.Context, fn func(*Lease) error) error {
-	return d.rt.with(ctx, d.set, fn)
-}
-
-// MaxThreads returns the registry capacity.
-func (d *Domain) MaxThreads() int { return d.rt.MaxThreads() }
-
-// ActiveThreads returns the number of currently held leases (approximate
-// under churn).
-func (d *Domain) ActiveThreads() int { return d.rt.ActiveThreads() }
-
-// Scheme returns the reclamation scheme's name.
-func (d *Domain) Scheme() string { return d.rt.Scheme() }
-
-// Structure returns the data structure's name.
-func (d *Domain) Structure() string { return d.set.Name() }
-
-// Stats returns the aggregate reclamation counters.
-func (d *Domain) Stats() Stats { return d.rt.Stats() }
-
-// MemStats returns the allocator counters (live records ≈ resident memory).
-func (d *Domain) MemStats() MemStats { return d.set.MemStats() }
-
-// GarbageBound returns the scheme's declared worst-case retired-but-unfreed
-// record count across all threads (or Unbounded). The bound is declared
-// against MaxThreads and holds across lease churn, orphaned records
-// included.
-func (d *Domain) GarbageBound() int { return d.rt.GarbageBound() }
-
-// Len counts the keys in the set. Quiescent: no concurrent mutators.
-func (d *Domain) Len() int { return d.set.Len() }
-
-// Validate checks the structure's invariants. Quiescent.
-func (d *Domain) Validate() error { return d.set.Validate() }
-
-// Drain adopts any orphaned records and reclaims everything reclaimable,
-// using a temporary lease. At quiescence it runs until every retired record
-// is freed; under concurrent traffic it is a best-effort pass. Use it before
-// reading final Stats or shutting down.
-func (d *Domain) Drain() error { return d.rt.Drain() }
+// MemStats returns the domain set's own allocator counters (live records ≈
+// resident memory); d.Runtime.MemStats sums every attached set.
+func (d *Domain) MemStats() MemStats { return d.Set.MemStats() }
 
 // Lease is one goroutine's membership in a Runtime (and so in every Set
 // attached to it): a dense thread slot plus the per-thread guard every
 // operation runs under. A Lease must be used by one goroutine at a time and
 // released when done; after Release it must not be used.
 type Lease struct {
-	rt  *Runtime
-	set *Set // the home set of a Domain-issued lease; nil for Runtime leases
-	l   *smr.Lease
-	g   smr.Guard
+	rt *Runtime
+	l  *smr.Lease
+	g  smr.Guard
 }
 
 // Tid returns the dense thread slot this lease occupies (diagnostic; slots
@@ -260,22 +141,3 @@ func (l *Lease) SetDeadline(t time.Time) {
 // must not be used: operations on it panic sigsim.Revoked (converted to
 // ErrLeaseReaped by With), and its Release is a counted no-op.
 func (l *Lease) Revoked() bool { return l.l.Revoked() }
-
-// home returns the Domain set behind a Domain-issued lease. Runtime leases
-// have no home set: one lease covers many sets, so operations go through a
-// Set (set.Insert(lease, key)).
-func (l *Lease) home() *Set {
-	if l.set == nil {
-		panic("nbr: lease was issued by a Runtime, not a Domain; operate through a Set (set.Insert(lease, key))")
-	}
-	return l.set
-}
-
-// Contains reports whether key is in the domain's set.
-func (l *Lease) Contains(key uint64) bool { return l.home().Contains(l, key) }
-
-// Insert adds key, reporting false if it was already present.
-func (l *Lease) Insert(key uint64) bool { return l.home().Insert(l, key) }
-
-// Delete removes key, reporting false if it was absent.
-func (l *Lease) Delete(key uint64) bool { return l.home().Delete(l, key) }

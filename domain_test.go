@@ -18,11 +18,13 @@ func TestDomainLifecycle(t *testing.T) {
 		for _, scheme := range []string{"nbr+", "nbr", "hp", "debra"} {
 			t.Run(structure+"/"+scheme, func(t *testing.T) {
 				d, err := nbr.New(nbr.Options{
-					Structure:  structure,
-					Scheme:     scheme,
-					MaxThreads: 6,
-					BagSize:    128,
-					Threshold:  48,
+					Structure: structure,
+					RuntimeOptions: nbr.RuntimeOptions{
+						Scheme:     scheme,
+						MaxThreads: 6,
+						BagSize:    128,
+						Threshold:  48,
+					},
 				})
 				if err != nil {
 					if scheme == "hp" { // Table 1 rejects some HP cells
@@ -48,9 +50,9 @@ func TestDomainLifecycle(t *testing.T) {
 							}
 							for i := 0; i < 50; i++ {
 								key := uint64(w*50+i)%96 + 1
-								l.Insert(key)
+								d.Insert(l, key)
 								if i%2 == 0 {
-									l.Delete(key)
+									d.Delete(l, key)
 								}
 							}
 							l.Release()
@@ -79,10 +81,10 @@ func TestDomainLifecycle(t *testing.T) {
 // TestDomainRejectsTable1Violations pins the public constructor to the
 // paper's applicability matrix.
 func TestDomainRejectsTable1Violations(t *testing.T) {
-	if _, err := nbr.New(nbr.Options{Structure: "hmlist-norestart", Scheme: "nbr+"}); err == nil {
+	if _, err := nbr.New(nbr.Options{Structure: "hmlist-norestart", RuntimeOptions: nbr.RuntimeOptions{Scheme: "nbr+"}}); err == nil {
 		t.Fatal("hmlist-norestart under NBR must be rejected (Requirement 12)")
 	}
-	if _, err := nbr.New(nbr.Options{Structure: "abtree", Scheme: "hp"}); err == nil {
+	if _, err := nbr.New(nbr.Options{Structure: "abtree", RuntimeOptions: nbr.RuntimeOptions{Scheme: "hp"}}); err == nil {
 		t.Fatal("abtree under HP must be rejected (no reachability validation)")
 	}
 }
@@ -91,7 +93,7 @@ func TestDomainRejectsTable1Violations(t *testing.T) {
 // concurrent holders, the next Acquire fails with ErrNoLease, and a release
 // makes a slot available again.
 func TestDomainLeaseExhaustion(t *testing.T) {
-	d, err := nbr.New(nbr.Options{MaxThreads: 8})
+	d, err := nbr.New(nbr.Options{RuntimeOptions: nbr.RuntimeOptions{MaxThreads: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

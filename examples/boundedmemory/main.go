@@ -11,7 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/sigsim"
 )
 
@@ -32,13 +33,13 @@ func main() {
 func runWithStalledThread(scheme string) (garbage, retired uint64) {
 	const workers = 3
 	threads := workers + 1
-	inst, err := bench.NewDS("dgt", threads)
+	inst, err := catalog.NewDS("dgt", threads)
 	if err != nil {
 		panic(err)
 	}
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 512
-	sch, err := bench.NewScheme(scheme, inst.Arena, threads, cfg)
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, ds.DefaultRequirements)
 	if err != nil {
 		panic(err)
 	}

@@ -26,6 +26,7 @@ import (
 
 	"nbr"
 	"nbr/internal/bench"
+	"nbr/internal/catalog"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 			DelPct:   50,
 			Duration: 600 * time.Millisecond,
 			Prefill:  -1,
-			Cfg:      bench.DefaultSchemeConfig(),
+			Cfg:      catalog.DefaultSchemeConfig(),
 		})
 		if err != nil {
 			panic(err)

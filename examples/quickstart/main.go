@@ -1,19 +1,19 @@
 // Quickstart: protect a concurrent ordered set with NBR+ in three steps,
 // using only the public nbr package.
 //
-//  1. create a Domain (a data structure + reclamation scheme + thread-lease
-//     registry in one);
+//  1. create a Domain — an nbr.Runtime (reclamation scheme + thread-lease
+//     registry) with exactly one set attached;
 //  2. each worker goroutine acquires a Lease — no hand-managed thread ids;
-//  3. run operations through the lease and release it — retired records are
-//     reclaimed behind the scenes, with bounded garbage even if a thread
-//     stalls, and a departing thread leaks nothing.
+//  3. operate on the set under the lease (domain.Insert(lease, key)) and
+//     release it — retired records are reclaimed behind the scenes, with
+//     bounded garbage even if a thread stalls, and a departing thread leaks
+//     nothing.
 //
-// Single-structure services need nothing beyond this: nbr.New is unchanged
-// since the shared-runtime layer landed (a Domain is now a one-structure
-// nbr.Runtime under the hood). A service hosting several structures over
-// one lease registry — one Lease covering all of them per request — starts
-// from nbr.NewRuntime and attaches structures with NewSet instead; see
-// examples/server for that regime over real HTTP.
+// The calls are the Runtime's and the Set's own, so growing past one
+// structure changes nothing but construction: a service hosting several
+// structures over one lease registry — one Lease covering all of them per
+// request — starts from nbr.NewRuntime and attaches structures with NewSet;
+// see examples/server for that regime over real HTTP.
 //
 // What nbrvet would catch here: the protocol mistakes this example is
 // careful not to make are all static findings — stashing the lease in a
@@ -37,9 +37,8 @@ func main() {
 
 	// 1. The domain: an NBR+-protected lazy list.
 	domain, err := nbr.New(nbr.Options{
-		Structure: "lazylist",
-		Scheme:    "nbr+",
-		BagSize:   512,
+		Structure:      "lazylist",
+		RuntimeOptions: nbr.RuntimeOptions{Scheme: "nbr+", BagSize: 512},
 	})
 	if err != nil {
 		panic(err)
@@ -61,9 +60,9 @@ func main() {
 				if key == 0 {
 					key = 2
 				}
-				lease.Insert(key)
+				domain.Insert(lease, key)
 				if i%3 == 0 {
-					lease.Delete(key)
+					domain.Delete(lease, key)
 				}
 			}
 		}(w)
@@ -75,7 +74,7 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("set size after churn: %d\n", domain.Len())
-	fmt.Printf("contains(2)=%v contains(3)=%v\n", probe.Contains(2), probe.Contains(3))
+	fmt.Printf("contains(2)=%v contains(3)=%v\n", domain.Contains(probe, 2), domain.Contains(probe, 3))
 	probe.Release()
 
 	if err := domain.Drain(); err != nil {

@@ -15,7 +15,7 @@ import (
 var stashed *nbr.Lease
 
 func badMain() {
-	domain, err := nbr.New(nbr.Options{Structure: "lazylist", Scheme: "nbr+"})
+	domain, err := nbr.New(nbr.Options{Structure: "lazylist"})
 	if err != nil {
 		panic(err)
 	}
@@ -35,12 +35,12 @@ func badMain() {
 	// goroutine-affine; acquire inside the goroutine instead" (leaseescape)
 	go func() {
 		defer wg.Done()
-		lease.Insert(2)
+		domain.Insert(lease, 2)
 	}()
 	wg.Wait()
 
 	lease.Release()
 	// nbrvet: "use of lease lease after Release: its guard slot may already
 	// belong to another goroutine" (guardderef)
-	lease.Insert(4)
+	domain.Insert(lease, 4)
 }

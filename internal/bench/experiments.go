@@ -3,9 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 	"time"
+
+	"nbr/internal/catalog"
 )
 
 // Options are the host-dependent knobs shared by all experiment presets.
@@ -22,7 +23,7 @@ type Options struct {
 	// host-scaled defaults.
 	Full bool
 	// Cfg carries the scheme knobs (bag sizes, signal costs, …).
-	Cfg SchemeConfig
+	Cfg catalog.SchemeConfig
 	Out io.Writer
 }
 
@@ -487,36 +488,4 @@ func sparkline(series []int64, width int) string {
 		out[i] = blocks[idx]
 	}
 	return string(out)
-}
-
-// PrintTable1 renders the applicability matrix with its notes.
-func PrintTable1(out io.Writer) {
-	tw := tabwriter.NewWriter(out, 10, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "structure\tNBR/NBR+\tEBR (qsbr,rcu,debra)\tHP-family (hp,ibr,he)")
-	names := append([]string{}, DSNames...)
-	sort.Strings(names)
-	for _, d := range names {
-		fmt.Fprintf(tw, "%s", d)
-		for _, fam := range []string{"nbr", "debra", "hp"} {
-			v, _ := Table1Verdict(d, fam)
-			cell := "no"
-			if v.OK {
-				cell = "yes"
-			} else if Runnable(d, fam) {
-				cell = "no*"
-			}
-			fmt.Fprintf(tw, "\t%s", cell)
-		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
-	fmt.Fprintln(out, "\n(no* = Table 1 says no, but the harness runs it in benchmark mode as the paper's E1 does)")
-	fmt.Fprintln(out, "\nnotes:")
-	for _, d := range names {
-		for _, fam := range []string{"nbr", "debra", "hp"} {
-			if v, ok := Table1Verdict(d, fam); ok && v.Note != "" {
-				fmt.Fprintf(out, "  %s / %s: %s\n", d, fam, v.Note)
-			}
-		}
-	}
 }

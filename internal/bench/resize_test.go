@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"nbr/internal/catalog"
+)
 
 // TestResizeBurstSegmentAmortization pins the fast-path claim the snapshot
 // asserts: on the same insert-only burst, under the same grace-period scheme,
@@ -8,7 +12,7 @@ import "testing"
 // scans per retired record by at least 8× versus dissolving each array and
 // retiring its cells individually. Counter ratios only — no timing.
 func TestResizeBurstSegmentAmortization(t *testing.T) {
-	cfg := DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	// The threshold must leave the bag headroom for whole arrays: a bag
 	// pinned at its threshold forces the fill cut down to single-record
 	// carves, which is per-node retirement with extra steps (and is exactly
@@ -69,7 +73,7 @@ func TestResizeBurstRejectsUnsafeBaseline(t *testing.T) {
 	for _, scheme := range []string{"nbr", "nbr+", "hp"} {
 		_, err := RunResizeBurst(ResizeBurstWorkload{
 			Scheme: scheme, Threads: 2, KeysPerThread: 100, PerNode: true,
-			Cfg: DefaultSchemeConfig(),
+			Cfg: catalog.DefaultSchemeConfig(),
 		})
 		if err == nil {
 			t.Fatalf("per-node baseline under %s must be rejected", scheme)

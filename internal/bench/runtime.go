@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/mem"
 	"nbr/internal/obs"
@@ -33,7 +34,7 @@ type RuntimeWorkload struct {
 	KeyRange   uint64
 	SessionOps int // operations per lease session, spread across structures
 	Duration   time.Duration
-	Cfg        SchemeConfig
+	Cfg        catalog.SchemeConfig
 	// Interleave selects the adversarial retire pattern: each session walks
 	// the structures round-robin doing insert-then-delete pairs, so the
 	// retire stream entering the shared bags alternates owners perfectly —
@@ -138,26 +139,21 @@ func RunRuntime(w RuntimeWorkload) (RuntimeResult, error) {
 	// One hub, one pool per structure (tagged), one scheme over the hub at
 	// the widest attached announcement needs, one registry.
 	hub := mem.NewHub(w.Slots)
-	insts := make([]Instance, 0, len(w.Structures))
+	insts := make([]catalog.Instance, 0, len(w.Structures))
 	req := ds.Requirements{Threshold: ds.DefaultThreshold}
 	for _, name := range w.Structures {
-		if !Runnable(name, w.Scheme) {
+		if !catalog.Runnable(name, w.Scheme) {
 			return RuntimeResult{}, fmt.Errorf("bench: %s is not runnable under %s (Table 1)", name, w.Scheme)
 		}
-		inst, err := NewDSArena(name, mem.Config{MaxThreads: w.Slots, Tag: hub.NextTag()})
+		inst, err := catalog.NewDSArena(name, mem.Config{MaxThreads: w.Slots, Tag: hub.NextTag()})
 		if err != nil {
 			return RuntimeResult{}, err
 		}
 		hub.Attach(len(insts), inst.Arena)
 		insts = append(insts, inst)
-		if inst.Req.Slots > req.Slots {
-			req.Slots = inst.Req.Slots
-		}
-		if inst.Req.Reservations > req.Reservations {
-			req.Reservations = inst.Req.Reservations
-		}
+		req = req.Max(inst.Req)
 	}
-	sch, err := NewSchemeFor(w.Scheme, hub, w.Slots, w.Cfg, req)
+	sch, err := catalog.NewSchemeFor(w.Scheme, hub, w.Slots, w.Cfg, req)
 	if err != nil {
 		return RuntimeResult{}, err
 	}

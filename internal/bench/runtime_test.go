@@ -3,13 +3,15 @@ package bench
 import (
 	"testing"
 	"time"
+
+	"nbr/internal/catalog"
 )
 
 // TestRunRuntimeCell pins the shared-runtime measurement cell: it must
 // complete sessions, hold the aggregated bound, never hit the unaged-slot
 // fallback, and drain the shared bags to Retired == Freed.
 func TestRunRuntimeCell(t *testing.T) {
-	cfg := DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 256
 	r, err := RunRuntime(RuntimeWorkload{
 		Structures: []string{"lazylist", "harris", "dgt"},

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nbr/internal/catalog"
 	"nbr/internal/mem"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
@@ -232,7 +233,7 @@ const snapshotThreads = 8
 // exceeded the scheme's declared GarbageBound (the `nbrbench -assert-bound`
 // mode) — the snapshot is still written so the violating numbers are
 // inspectable.
-func WriteSnapshot(path string, duration time.Duration, cfg SchemeConfig, assertBound bool) error {
+func WriteSnapshot(path string, duration time.Duration, cfg catalog.SchemeConfig, assertBound bool) error {
 	threads := snapshotThreads
 	snap := Snapshot{
 		Schema:     SnapshotSchema,
@@ -512,11 +513,11 @@ func measureScanCost(threads, slots int) ScanCostPoint {
 // structure (the same fold nbr.NewRuntime + NewSet performs). Scan cost is
 // measured at each side's threads × reservations entries.
 func measureWidths(name string, threads int) (WidthPoint, error) {
-	domainReq, err := DSRequirements(name)
+	domainReq, err := catalog.DSRequirements(name)
 	if err != nil {
 		return WidthPoint{}, err
 	}
-	runtimeReq, err := MaxRequirements([]string{name})
+	runtimeReq, err := catalog.MaxRequirements([]string{name})
 	if err != nil {
 		return WidthPoint{}, err
 	}

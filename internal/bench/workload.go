@@ -1,3 +1,7 @@
+// Package bench is the experiment harness: it drives timed workloads over
+// schemes and structures built by name through internal/catalog, reproduces
+// every figure of the paper's evaluation (see DESIGN.md §5 for the index),
+// and writes and compares the perf snapshots.
 package bench
 
 import (
@@ -7,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nbr/internal/catalog"
 	"nbr/internal/hist"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
@@ -35,7 +40,7 @@ type Workload struct {
 	// NBR+'s passive RGP detection depends on). 0 selects the default: 16
 	// when oversubscribed, off otherwise. Negative disables.
 	YieldEvery int
-	Cfg        SchemeConfig
+	Cfg        catalog.SchemeConfig
 	Seed       uint64
 }
 
@@ -84,7 +89,7 @@ func splitmix64(s *uint64) uint64 {
 
 // Run executes one workload cell and returns its measurements.
 func Run(w Workload) (Result, error) {
-	if !Runnable(w.DS, w.Scheme) {
+	if !catalog.Runnable(w.DS, w.Scheme) {
 		return Result{}, fmt.Errorf("bench: %s is not runnable under %s (Table 1)", w.DS, w.Scheme)
 	}
 	if w.KeyRange < 2 {
@@ -106,11 +111,11 @@ func Run(w Workload) (Result, error) {
 	if w.Stall {
 		total++
 	}
-	inst, err := NewDS(w.DS, total)
+	inst, err := catalog.NewDS(w.DS, total)
 	if err != nil {
 		return Result{}, err
 	}
-	sch, err := NewSchemeFor(w.Scheme, inst.Arena, total, w.Cfg, inst.Req)
+	sch, err := catalog.NewSchemeFor(w.Scheme, inst.Arena, total, w.Cfg, inst.Req)
 	if err != nil {
 		return Result{}, err
 	}
@@ -295,7 +300,7 @@ func trimBuckets(b [smr.BatchBuckets]uint64) []uint64 {
 
 // prefill populates the set to the target size using all worker threads,
 // inserting uniformly random keys as the paper's harness does.
-func prefill(inst Instance, sch smr.Scheme, w Workload) {
+func prefill(inst catalog.Instance, sch smr.Scheme, w Workload) {
 	if w.Prefill == 0 {
 		return
 	}

@@ -3,13 +3,15 @@ package bench
 import (
 	"testing"
 	"time"
+
+	"nbr/internal/catalog"
 )
 
 func TestResultLatencyFieldsPopulated(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "lazylist", Scheme: "debra", Threads: 2, KeyRange: 128,
 		InsPct: 50, DelPct: 50, Duration: 80 * time.Millisecond,
-		Prefill: -1, Cfg: DefaultSchemeConfig(),
+		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +26,7 @@ func TestResultSeriesSampled(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "lazylist", Scheme: "nbr+", Threads: 2, KeyRange: 128,
 		InsPct: 50, DelPct: 50, Duration: 60 * time.Millisecond,
-		Prefill: -1, Cfg: DefaultSchemeConfig(),
+		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +88,7 @@ func TestPrefillCapsWorkers(t *testing.T) {
 	r, err := Run(Workload{
 		DS: "dgt", Scheme: "none", Threads: 12, KeyRange: 4_000,
 		InsPct: 0, DelPct: 0, Duration: 20 * time.Millisecond,
-		Prefill: -1, Cfg: DefaultSchemeConfig(),
+		Prefill: -1, Cfg: catalog.DefaultSchemeConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)

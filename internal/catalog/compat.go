@@ -1,4 +1,11 @@
-package bench
+package catalog
+
+import (
+	"fmt"
+	"io"
+	"sort"
+	"text/tabwriter"
+)
 
 // This file encodes the paper's Table 1 (applicability of SMR algorithms)
 // for the data structures in the harness, in two layers:
@@ -63,10 +70,10 @@ var table1 = map[string]map[string]Verdict{
 
 // family maps a concrete scheme name onto its Table 1 column.
 func family(scheme string) string {
-	switch scheme {
+	switch Canonical(scheme) {
 	case "nbr", "nbr+":
 		return "NBR"
-	case "qsbr", "rcu", "debra", "none", "leaky":
+	case "qsbr", "rcu", "debra", "none":
 		return "EBR" // leaky trivially applies everywhere; grouped for lookup
 	case "hp", "ibr", "he":
 		return "HP"
@@ -76,7 +83,7 @@ func family(scheme string) string {
 
 // Table1Verdict returns the paper's theoretical applicability verdict.
 func Table1Verdict(dsName, scheme string) (Verdict, bool) {
-	if scheme == "none" || scheme == "leaky" {
+	if Canonical(scheme) == "none" {
 		return Verdict{true, "leaky baseline applies everywhere"}, true
 	}
 	row, ok := table1[dsName]
@@ -105,4 +112,36 @@ func Runnable(dsName, scheme string) bool {
 		return true
 	}
 	return runnableExceptions[[2]string{dsName, family(scheme)}]
+}
+
+// PrintTable1 renders the applicability matrix with its notes.
+func PrintTable1(out io.Writer) {
+	tw := tabwriter.NewWriter(out, 10, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "structure\tNBR/NBR+\tEBR (qsbr,rcu,debra)\tHP-family (hp,ibr,he)")
+	names := append([]string{}, DSNames...)
+	sort.Strings(names)
+	for _, d := range names {
+		fmt.Fprintf(tw, "%s", d)
+		for _, fam := range []string{"nbr", "debra", "hp"} {
+			v, _ := Table1Verdict(d, fam)
+			cell := "no"
+			if v.OK {
+				cell = "yes"
+			} else if Runnable(d, fam) {
+				cell = "no*"
+			}
+			fmt.Fprintf(tw, "\t%s", cell)
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+	fmt.Fprintln(out, "\n(no* = Table 1 says no, but the harness runs it in benchmark mode as the paper's E1 does)")
+	fmt.Fprintln(out, "\nnotes:")
+	for _, d := range names {
+		for _, fam := range []string{"nbr", "debra", "hp"} {
+			if v, ok := Table1Verdict(d, fam); ok && v.Note != "" {
+				fmt.Fprintf(out, "  %s / %s: %s\n", d, fam, v.Note)
+			}
+		}
+	}
 }

@@ -1,8 +1,11 @@
-// Package bench is the experiment harness: it constructs data structures and
-// reclamation schemes by name, encodes the paper's applicability matrix
-// (Table 1), drives timed workloads, and reproduces every figure of the
-// evaluation (see DESIGN.md §5 for the index).
-package bench
+// Package catalog builds the reproduction's reclamation schemes and data
+// structures by name: the scheme factory, the structure factory with its
+// announcement-width registry, and the paper's applicability matrix
+// (Table 1). It is a leaf under the public nbr package and the harnesses —
+// nbr, internal/bench, internal/dstest and the cmds all construct through
+// it — so the public package resolves names without importing the
+// experiment harness.
+package catalog
 
 import (
 	"fmt"
@@ -61,12 +64,14 @@ func DefaultSchemeConfig() SchemeConfig {
 	}
 }
 
-// NewScheme constructs the named scheme over an arena for a thread count,
-// with the conservative default announcement widths. Callers that know the
-// data structure should prefer NewSchemeFor, which sizes the scheme's scan
-// width to what the structure declares.
-func NewScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig) (smr.Scheme, error) {
-	return NewSchemeFor(name, arena, threads, cfg, ds.DefaultRequirements)
+// Canonical resolves a scheme name's aliases: the zero-reclamation baseline
+// answers to "leaky" but is named "none" everywhere else (its Name, the
+// figures, Table 1). Every name lookup in this package goes through it.
+func Canonical(scheme string) string {
+	if scheme == "leaky" {
+		return "none"
+	}
+	return scheme
 }
 
 // NewSchemeFor constructs the named scheme sized to a data structure's
@@ -77,7 +82,9 @@ func NewScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig) (smr
 // (per peer thread) sizes the threshold-triggered schemes' retire buffers
 // when cfg.Threshold is 0 (auto), decoupling their scan frequency from the
 // narrow per-DS Slots that would otherwise drag hp's 2·N·Slots default down
-// with it; the 64-record floor matches the schemes' own minimum.
+// with it; the 64-record floor matches the schemes' own minimum. Callers
+// with no structure in mind pass ds.DefaultRequirements, the conservative
+// global widths.
 func NewSchemeFor(name string, arena mem.Arena, threads int, cfg SchemeConfig, req ds.Requirements) (smr.Scheme, error) {
 	if req.Slots <= 0 {
 		req.Slots = ds.DefaultRequirements.Slots
@@ -115,8 +122,8 @@ func NewSchemeFor(name string, arena mem.Arena, threads int, cfg SchemeConfig, r
 }
 
 func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req ds.Requirements, sig sigsim.Config) (smr.Scheme, error) {
-	switch name {
-	case "none", "leaky":
+	switch Canonical(name) {
+	case "none":
 		return leaky.New(arena, threads), nil
 	case "qsbr":
 		return qsbr.New(arena, threads, qsbr.Config{Threshold: cfg.Threshold}), nil
@@ -142,5 +149,5 @@ func newScheme(name string, arena mem.Arena, threads int, cfg SchemeConfig, req 
 			ScanFreq: cfg.ScanFreq, Slots: cfg.Slots, Signals: sig,
 		}), nil
 	}
-	return nil, fmt.Errorf("bench: unknown scheme %q (have %v)", name, SchemeNames)
+	return nil, fmt.Errorf("catalog: unknown scheme %q (have %v)", name, SchemeNames)
 }

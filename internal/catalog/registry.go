@@ -1,4 +1,4 @@
-package bench
+package catalog
 
 import (
 	"fmt"
@@ -56,7 +56,7 @@ func NewDSArena(name string, cfg mem.Config) (Instance, error) {
 		t := abtree.NewWith(cfg)
 		inst = Instance{Set: t, Arena: t.Arena(), MemStats: t.MemStats}
 	default:
-		return Instance{}, fmt.Errorf("bench: unknown data structure %q (have %v)", name, DSNames)
+		return Instance{}, fmt.Errorf("catalog: unknown data structure %q (have %v)", name, DSNames)
 	}
 	inst.Req = inst.Set.Requirements()
 	return inst, nil
@@ -83,7 +83,7 @@ var dsRequirements = map[string]ds.Requirements{
 func DSRequirements(name string) (ds.Requirements, error) {
 	req, ok := dsRequirements[name]
 	if !ok {
-		return ds.Requirements{}, fmt.Errorf("bench: unknown data structure %q (have %v)", name, DSNames)
+		return ds.Requirements{}, fmt.Errorf("catalog: unknown data structure %q (have %v)", name, DSNames)
 	}
 	return req, nil
 }
@@ -92,21 +92,13 @@ func DSRequirements(name string) (ds.Requirements, error) {
 // every named structure kind fits under. An empty list yields the zero value
 // (callers grow it from actual attachments).
 func MaxRequirements(names []string) (ds.Requirements, error) {
-	var max ds.Requirements
+	var acc ds.Requirements
 	for _, name := range names {
 		req, err := DSRequirements(name)
 		if err != nil {
 			return ds.Requirements{}, err
 		}
-		if req.Slots > max.Slots {
-			max.Slots = req.Slots
-		}
-		if req.Reservations > max.Reservations {
-			max.Reservations = req.Reservations
-		}
-		if req.Threshold > max.Threshold {
-			max.Threshold = req.Threshold
-		}
+		acc = acc.Max(req)
 	}
-	return max, nil
+	return acc, nil
 }

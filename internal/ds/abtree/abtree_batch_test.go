@@ -4,7 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds/abtree"
 )
 
@@ -22,20 +22,20 @@ func TestSubtreeUnlinkStress(t *testing.T) {
 		keys    = 1 << 11
 		waves   = 3
 	)
-	cfg := bench.SchemeConfig{
+	cfg := catalog.SchemeConfig{
 		BagSize:    128,
 		LoFraction: 0.5,
 		ScanFreq:   4,
 		Threshold:  48,
 		EraFreq:    16,
 	}
-	for _, scheme := range bench.SchemeNames {
-		if !bench.Runnable("abtree", scheme) {
+	for _, scheme := range catalog.SchemeNames {
+		if !catalog.Runnable("abtree", scheme) {
 			continue
 		}
 		t.Run(scheme, func(t *testing.T) {
 			tr := abtree.New(threads)
-			sch, err := bench.NewSchemeFor(scheme, tr.Arena(), threads, cfg, tr.Requirements())
+			sch, err := catalog.NewSchemeFor(scheme, tr.Arena(), threads, cfg, tr.Requirements())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/ds/abtree"
 	"nbr/internal/dstest"
 	"nbr/internal/smr"
@@ -25,7 +26,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*abtree.Tree, smr.Guard) {
 	t.Helper()
 	tr := abtree.New(1)
-	s, err := bench.NewScheme(scheme, tr.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewSchemeFor(scheme, tr.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestRetireTrafficIsCopyOnWrite(t *testing.T) {
 	// Every successful update must retire at least one node (the replaced
 	// leaf) — the property that makes the ABTree an SMR stress test.
 	tr, g := newWithGuard(t, "debra")
-	sch, err := bench.NewScheme("debra", tr.Arena(), 1, bench.DefaultSchemeConfig())
+	sch, err := catalog.NewSchemeFor("debra", tr.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}

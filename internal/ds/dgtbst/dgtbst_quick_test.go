@@ -4,7 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/ds/dgtbst"
 )
 
@@ -12,9 +13,9 @@ import (
 // tiny limbo bag (internal routers and leaves recycle constantly).
 func TestQuickSetSemantics(t *testing.T) {
 	tr := dgtbst.New(1)
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 64
-	s, err := bench.NewScheme("nbr+", tr.Arena(), 1, cfg)
+	s, err := catalog.NewSchemeFor("nbr+", tr.Arena(), 1, cfg, ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestQuickSetSemantics(t *testing.T) {
 // insert retires none.
 func TestDeleteRetiresRouterAndLeaf(t *testing.T) {
 	tr := dgtbst.New(1)
-	s, err := bench.NewScheme("debra", tr.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewSchemeFor("debra", tr.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/ds/dgtbst"
 	"nbr/internal/dstest"
 	"nbr/internal/smr"
@@ -25,7 +26,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*dgtbst.Tree, smr.Guard) {
 	t.Helper()
 	tr := dgtbst.New(1)
-	s, err := bench.NewScheme(scheme, tr.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewSchemeFor(scheme, tr.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}

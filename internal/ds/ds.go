@@ -35,6 +35,17 @@ type Requirements struct {
 	Threshold    int
 }
 
+// Max returns the smallest widths both r and o fit under: the field-wise
+// maximum. Folding it over several structures sizes one scheme for all of
+// them.
+func (r Requirements) Max(o Requirements) Requirements {
+	return Requirements{
+		Slots:        max(r.Slots, o.Slots),
+		Reservations: max(r.Reservations, o.Reservations),
+		Threshold:    max(r.Threshold, o.Threshold),
+	}
+}
+
 // DefaultThreshold is the per-peer retire-buffer depth the harness's
 // structures declare: 2 records per default hazard slot, matching the scan
 // cadence hp's 2·N·Slots default produced before Slots narrowed per-DS.

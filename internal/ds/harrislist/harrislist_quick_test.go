@@ -4,7 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/ds/harrislist"
 )
 
@@ -13,9 +14,9 @@ import (
 // marking, chain splicing and reclamation all interleave.
 func TestQuickSetSemantics(t *testing.T) {
 	l := harrislist.New(1)
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 64
-	s, err := bench.NewScheme("nbr+", l.Arena(), 1, cfg)
+	s, err := catalog.NewSchemeFor("nbr+", l.Arena(), 1, cfg, ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +60,9 @@ func TestQuickSetSemantics(t *testing.T) {
 func TestChainRetireExactlyOnce(t *testing.T) {
 	const threads = 4
 	l := harrislist.New(threads)
-	cfg := bench.DefaultSchemeConfig()
+	cfg := catalog.DefaultSchemeConfig()
 	cfg.BagSize = 32
-	s, err := bench.NewScheme("nbr+", l.Arena(), threads, cfg)
+	s, err := catalog.NewSchemeFor("nbr+", l.Arena(), threads, cfg, ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,8 @@ package harrislist_test
 import (
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/ds/harrislist"
 	"nbr/internal/dstest"
 	"nbr/internal/smr"
@@ -30,7 +31,7 @@ func TestMatrix(t *testing.T) { dstest.RunAll(t, factory()) }
 func newWithGuard(t *testing.T, scheme string) (*harrislist.List, smr.Guard) {
 	t.Helper()
 	l := harrislist.New(1)
-	s, err := bench.NewScheme(scheme, l.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewSchemeFor(scheme, l.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}

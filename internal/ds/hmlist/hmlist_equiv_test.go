@@ -5,7 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
+	"nbr/internal/ds"
 	"nbr/internal/ds/hmlist"
 )
 
@@ -16,11 +17,11 @@ import (
 func TestVariantsEquivalent(t *testing.T) {
 	lr := hmlist.New(1, hmlist.Restart)
 	ln := hmlist.New(1, hmlist.NoRestart)
-	sr, err := bench.NewScheme("debra", lr.Arena(), 1, bench.DefaultSchemeConfig())
+	sr, err := catalog.NewSchemeFor("debra", lr.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := bench.NewScheme("debra", ln.Arena(), 1, bench.DefaultSchemeConfig())
+	sn, err := catalog.NewSchemeFor("debra", ln.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestVariantsEquivalent(t *testing.T) {
 
 func TestQuickSetSemantics(t *testing.T) {
 	l := hmlist.New(1, hmlist.Restart)
-	s, err := bench.NewScheme("nbr+", l.Arena(), 1, bench.DefaultSchemeConfig())
+	s, err := catalog.NewSchemeFor("nbr+", l.Arena(), 1, catalog.DefaultSchemeConfig(), ds.DefaultRequirements)
 	if err != nil {
 		t.Fatal(err)
 	}

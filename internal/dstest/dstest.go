@@ -37,7 +37,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/mem"
 	"nbr/internal/obs"
@@ -53,7 +53,7 @@ type Instance struct {
 
 // Factory creates instances of one data structure for the suite.
 type Factory struct {
-	// Name must match the applicability-matrix entry (bench.DSNames).
+	// Name must match the applicability-matrix entry (catalog.DSNames).
 	Name string
 	// New creates a set sized for the given number of threads.
 	New func(threads int) Instance
@@ -71,8 +71,8 @@ type Factory struct {
 // freeing and neutralization constantly rather than only at scale. Slots
 // stays 0 (auto) so the suites run the same narrow per-DS widths the
 // benchmarks use.
-func config() bench.SchemeConfig {
-	return bench.SchemeConfig{
+func config() catalog.SchemeConfig {
+	return catalog.SchemeConfig{
 		BagSize:    128,
 		LoFraction: 0.5,
 		ScanFreq:   4,
@@ -85,7 +85,7 @@ func newScheme(t *testing.T, name string, inst Instance, threads int) smr.Scheme
 	t.Helper()
 	// Schemes are sized to the structure's declared announcement widths,
 	// exactly as bench.Run constructs the measured configurations.
-	s, err := bench.NewSchemeFor(name, inst.Arena, threads, config(), inst.Set.Requirements())
+	s, err := catalog.NewSchemeFor(name, inst.Arena, threads, config(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func dumpRecorder(t *testing.T, rec *obs.Recorder) {
 
 // RunAll executes every suite × scheme combination for the factory.
 func RunAll(t *testing.T, f Factory) {
-	for _, scheme := range bench.SchemeNames {
-		if !bench.Runnable(f.Name, scheme) {
+	for _, scheme := range catalog.SchemeNames {
+		if !catalog.Runnable(f.Name, scheme) {
 			continue
 		}
 		scheme := scheme
@@ -283,7 +283,7 @@ func Bound(t *testing.T, f Factory, scheme string) {
 	inst := f.New(threads)
 	cfg := config()
 	cfg.BagSize = 32 // N·R ≤ 18 stays below; one splice can span the bag
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func BoundChain(t *testing.T, f Factory, scheme string) {
 	inst := f.New(threads)
 	cfg := config()
 	cfg.BagSize = 32 // one splice spans many bags
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, threads, cfg, inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/sigsim"
 	"nbr/internal/smr"
 )
@@ -40,7 +40,7 @@ func Kill(t *testing.T, f Factory, scheme string) {
 	}
 
 	inst := f.New(maxThreads)
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/smr"
 )
 
@@ -32,7 +32,7 @@ func Lease(t *testing.T, f Factory, scheme string) {
 	}
 
 	inst := f.New(maxThreads)
-	sch, err := bench.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
+	sch, err := catalog.NewSchemeFor(scheme, inst.Arena, maxThreads, config(), inst.Set.Requirements())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,21 +175,21 @@ func TestRuntimeWithPanicReleases(t *testing.T) {
 	}
 }
 
-// TestDomainWith pins the Domain-flavored With: the lease carries the home
-// set, so handlers use the sugar methods directly.
+// TestDomainWith pins With on a Domain: the envelope is the runtime's, and
+// handlers operate on the domain's own set through the lease.
 func TestDomainWith(t *testing.T) {
-	d, err := nbr.New(nbr.Options{MaxThreads: 2, BagSize: 128})
+	d, err := nbr.New(nbr.Options{RuntimeOptions: nbr.RuntimeOptions{MaxThreads: 2, BagSize: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.With(context.Background(), func(l *nbr.Lease) error {
-		if !l.Insert(11) {
+		if !d.Insert(l, 11) {
 			t.Error("fresh key reported present")
 		}
-		if !l.Contains(11) {
+		if !d.Contains(l, 11) {
 			t.Error("inserted key missing")
 		}
-		l.Delete(11)
+		d.Delete(l, 11)
 		return nil
 	}); err != nil {
 		t.Fatal(err)

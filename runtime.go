@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbr/internal/bench"
+	"nbr/internal/catalog"
 	"nbr/internal/ds"
 	"nbr/internal/mem"
 	"nbr/internal/obs"
@@ -29,11 +29,10 @@ import (
 // garbage bound is declared once per runtime and covers every structure's
 // retired records, because they all live in the same per-thread bags.
 //
-// Single-structure users keep the unchanged nbr.New Domain API, which is now
-// a thin wrapper over a one-set Runtime.
+// A Domain (nbr.New) is this same Runtime with exactly one Set attached.
 
 // RuntimeOptions configures a Runtime. The zero value selects NBR+ sized
-// for a moderately parallel host, exactly like Options.
+// for a moderately parallel host.
 type RuntimeOptions struct {
 	// Scheme names the reclamation scheme (see Schemes). Default "nbr+".
 	Scheme string
@@ -41,9 +40,6 @@ type RuntimeOptions struct {
 	// structure: the most goroutines that can hold a lease at once. Default
 	// 2·GOMAXPROCS, at least 8.
 	MaxThreads int
-	// MaxStructures caps how many Sets can attach (the arena-tag space of a
-	// handle). Default — and maximum — mem.MaxTags.
-	MaxStructures int
 	// Structures pre-declares the structure kinds this runtime will host
 	// (see Structures() for the names). The scheme's announcement widths are
 	// sized to cover every declared kind from the width registry, so a
@@ -64,7 +60,8 @@ type RuntimeOptions struct {
 	// behavior: a lost lease strands its slot).
 	LeaseTimeout time.Duration
 
-	// The scheme knobs, as in Options (zero selects each scheme's default).
+	// The scheme knobs, as in the experiments (zero selects each scheme's
+	// default; see DESIGN.md §6 for the rationale behind the defaults).
 	BagSize    int     // NBR limbo-bag HiWatermark
 	LoFraction float64 // NBR+ LoWatermark position
 	ScanFreq   int     // NBR+ announceTS scan cadence
@@ -78,14 +75,12 @@ func (o RuntimeOptions) withDefaults() RuntimeOptions {
 	if o.Scheme == "" {
 		o.Scheme = "nbr+"
 	}
+	o.Scheme = catalog.Canonical(o.Scheme)
 	if o.MaxThreads <= 0 {
 		o.MaxThreads = 2 * runtime.GOMAXPROCS(0)
 		if o.MaxThreads < 8 {
 			o.MaxThreads = 8
 		}
-	}
-	if o.MaxStructures <= 0 || o.MaxStructures > mem.MaxTags {
-		o.MaxStructures = mem.MaxTags
 	}
 	return o
 }
@@ -145,7 +140,7 @@ type schemeBox struct {
 // widen the (not-yet-built) scheme up front; unknown names are rejected.
 func NewRuntime(opts RuntimeOptions) (*Runtime, error) {
 	opts = opts.withDefaults()
-	req, err := bench.MaxRequirements(opts.Structures)
+	req, err := catalog.MaxRequirements(opts.Structures)
 	if err != nil {
 		return nil, fmt.Errorf("nbr: RuntimeOptions.Structures: %w", err)
 	}
@@ -185,7 +180,7 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 	if req.Threshold <= 0 {
 		req.Threshold = ds.DefaultThreshold
 	}
-	cfg := bench.SchemeConfig{
+	cfg := catalog.SchemeConfig{
 		BagSize:    rt.opts.BagSize,
 		LoFraction: rt.opts.LoFraction,
 		ScanFreq:   rt.opts.ScanFreq,
@@ -194,7 +189,7 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 		SendSpin:   rt.opts.SendSpin,
 		HandleSpin: rt.opts.HandleSpin,
 	}
-	scheme, err := bench.NewSchemeFor(rt.opts.Scheme, rt.hub, rt.opts.MaxThreads, cfg, req)
+	scheme, err := catalog.NewSchemeFor(rt.opts.Scheme, rt.hub, rt.opts.MaxThreads, cfg, req)
 	if err != nil {
 		return nil, err
 	}
@@ -224,17 +219,17 @@ func (rt *Runtime) materialize() (smr.Scheme, error) {
 // been attached up front — but a wider one is rejected; pre-declare it in
 // RuntimeOptions.Structures to reserve its widths.
 func (rt *Runtime) NewSet(structure string) (*Set, error) {
-	if !bench.Runnable(structure, rt.opts.Scheme) {
+	if !catalog.Runnable(structure, rt.opts.Scheme) {
 		return nil, fmt.Errorf("nbr: %s is not runnable under %s (the paper's Table 1)",
 			structure, rt.opts.Scheme)
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	tag := rt.hub.NextTag()
-	if tag >= rt.opts.MaxStructures {
+	if tag >= mem.MaxTags {
 		return nil, fmt.Errorf("nbr: runtime full (%d structures attached)", tag)
 	}
-	inst, err := bench.NewDSArena(structure, mem.Config{MaxThreads: rt.opts.MaxThreads, Tag: tag})
+	inst, err := catalog.NewDSArena(structure, mem.Config{MaxThreads: rt.opts.MaxThreads, Tag: tag})
 	if err != nil {
 		return nil, err
 	}
@@ -246,15 +241,7 @@ func (rt *Runtime) NewSet(structure string) (*Set, error) {
 				structure, inst.Req.Slots, inst.Req.Reservations, rt.req.Slots, rt.req.Reservations)
 		}
 	} else {
-		if inst.Req.Slots > rt.req.Slots {
-			rt.req.Slots = inst.Req.Slots
-		}
-		if inst.Req.Reservations > rt.req.Reservations {
-			rt.req.Reservations = inst.Req.Reservations
-		}
-		if inst.Req.Threshold > rt.req.Threshold {
-			rt.req.Threshold = inst.Req.Threshold
-		}
+		rt.req = rt.req.Max(inst.Req)
 	}
 	rt.hub.Attach(tag, inst.Arena)
 	s := &Set{rt: rt, inst: inst, name: structure}
@@ -317,16 +304,11 @@ func (rt *Runtime) Acquire() (*Lease, error) {
 // With reports ErrLeaseReaped instead. This is the recommended way to write
 // request handlers: a handler that panics or overruns can never strand a
 // slot.
-func (rt *Runtime) With(ctx context.Context, fn func(*Lease) error) error {
-	return rt.with(ctx, nil, fn)
-}
-
-func (rt *Runtime) with(ctx context.Context, home *Set, fn func(*Lease) error) (err error) {
+func (rt *Runtime) With(ctx context.Context, fn func(*Lease) error) (err error) {
 	l, err := rt.AcquireCtx(ctx)
 	if err != nil {
 		return err
 	}
-	l.set = home
 	defer func() {
 		p := recover()
 		l.Release()
@@ -344,12 +326,8 @@ func (rt *Runtime) with(ctx context.Context, home *Set, fn func(*Lease) error) (
 	}()
 	// The lease session runs under pprof labels so CPU profiles attribute
 	// samples — including the reclamation work fn's retires trigger — to the
-	// scheme and structure doing it.
-	structure := "runtime"
-	if home != nil {
-		structure = home.name
-	}
-	pprof.Do(ctx, pprof.Labels("scheme", rt.Scheme(), "structure", structure), func(context.Context) {
+	// scheme doing it.
+	pprof.Do(ctx, pprof.Labels("scheme", rt.opts.Scheme, "structure", "runtime"), func(context.Context) {
 		err = fn(l)
 	})
 	return err
@@ -578,18 +556,9 @@ func (rt *Runtime) Waiters() int {
 	return len(rt.waiters)
 }
 
-// Scheme returns the reclamation scheme's name. Before the first lease this
-// is the configured name (the scheme is built lazily); note the leaky scheme
-// reports itself as "none" once built, matching its config alias.
-func (rt *Runtime) Scheme() string {
-	if b := rt.sch.Load(); b != nil {
-		return b.s.Name()
-	}
-	if rt.opts.Scheme == "leaky" {
-		return "none"
-	}
-	return rt.opts.Scheme
-}
+// Scheme returns the reclamation scheme's canonical name (the "leaky"
+// alias reports as "none").
+func (rt *Runtime) Scheme() string { return rt.opts.Scheme }
 
 // Structures returns the names of the attached sets, in attachment order.
 func (rt *Runtime) Structures() []string {
@@ -683,7 +652,7 @@ func (rt *Runtime) Drain() error {
 // Len and Validate are quiescent: no concurrent mutators.
 type Set struct {
 	rt   *Runtime
-	inst bench.Instance
+	inst catalog.Instance
 	name string
 }
 

@@ -235,11 +235,11 @@ func TestRuntimeWidthNarrowing(t *testing.T) {
 	}
 
 	// The widths must match a Domain hosting the widest structure exactly.
-	d, err := nbr.New(nbr.Options{Structure: "dgt", MaxThreads: 2})
+	d, err := nbr.New(nbr.Options{Structure: "dgt", RuntimeOptions: nbr.RuntimeOptions{MaxThreads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, dr := d.Runtime().Widths()
+	ds, dr := d.Runtime.Widths()
 	if s, r := rt.Widths(); s != ds || r != dr {
 		t.Fatalf("Runtime widths %d/%d != Domain widths %d/%d", s, r, ds, dr)
 	}
@@ -407,36 +407,39 @@ func TestRuntimeRejectsBadAttachments(t *testing.T) {
 	}
 }
 
-// TestRuntimeLeaseWithoutDomainPanics pins the Lease sugar contract: a
-// Runtime-issued lease has no home set, so the Domain-style convenience
-// methods must refuse loudly instead of guessing a structure.
-func TestRuntimeLeaseWithoutDomainPanics(t *testing.T) {
-	rt, _ := nbr.NewRuntime(nbr.RuntimeOptions{MaxThreads: 2})
+// TestRuntimeLeakyAlias pins the scheme-name canonicalization: the "leaky"
+// alias resolves to "none" once, at option defaulting, so the name a runtime
+// reports does not change when its first Acquire builds the scheme.
+func TestRuntimeLeakyAlias(t *testing.T) {
+	rt, err := nbr.NewRuntime(nbr.RuntimeOptions{Scheme: "leaky", MaxThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := rt.NewSet("lazylist"); err != nil {
 		t.Fatal(err)
+	}
+	if got := rt.Scheme(); got != "none" {
+		t.Fatalf("before the first Acquire: Scheme() = %q, want none", got)
 	}
 	l, err := rt.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Lease.Insert on a Runtime lease must panic")
-		}
-	}()
-	l.Insert(1)
+	l.Release()
+	if got := rt.Scheme(); got != "none" {
+		t.Fatalf("after the first Acquire: Scheme() = %q, want none", got)
+	}
 }
 
-// TestDomainRuntimeAttachment pins the thin-attachment refactor: a Domain
+// TestDomainRuntimeAttachment pins the one-set-runtime shape: a Domain
 // exposes its runtime, further sets share the domain's slots and bound, and
-// the domain lease drives both the sugar methods and explicit sets.
+// one lease drives both the domain's own set and explicit attachments.
 func TestDomainRuntimeAttachment(t *testing.T) {
-	d, err := nbr.New(nbr.Options{Structure: "lazylist", Scheme: "nbr+", MaxThreads: 4, BagSize: 128})
+	d, err := nbr.New(nbr.Options{Structure: "lazylist", RuntimeOptions: nbr.RuntimeOptions{Scheme: "nbr+", MaxThreads: 4, BagSize: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := d.Runtime()
+	rt := d.Runtime
 	// A domain's scheme is sized to its own structure's announcement widths,
 	// so attachments must fit under them: hmlist (2 protect slots, 2
 	// reservations) fits a lazylist domain; harris (3 slots) must be
@@ -452,12 +455,12 @@ func TestDomainRuntimeAttachment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Insert(7)        // the domain's own set, via the sugar
+	d.Insert(l, 7)     // the domain's own set
 	extra.Insert(l, 7) // the attached set, via the same lease
-	if !l.Contains(7) || !extra.Contains(l, 7) {
+	if !d.Contains(l, 7) || !extra.Contains(l, 7) {
 		t.Fatal("one lease must drive both the domain set and the attachment")
 	}
-	l.Delete(7)
+	d.Delete(l, 7)
 	extra.Delete(l, 7)
 	l.Release()
 	if err := rt.Drain(); err != nil {
