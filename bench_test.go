@@ -8,7 +8,7 @@
 // For paper-shaped sweeps (full key ranges, thread sweeps, 5s trials) use:
 //
 //	go run ./cmd/nbrbench -experiment fig3a -full -duration 5s -trials 3
-package nbr
+package nbr_test
 
 import (
 	"testing"

@@ -1,7 +1,9 @@
 // Command nbrbench regenerates the tables and figures of "NBR:
 // Neutralization Based Reclamation" (PPoPP '21). Each -experiment preset
 // reproduces one paper exhibit (see DESIGN.md §5 for the full index);
-// -custom runs a single workload cell with explicit parameters.
+// -custom runs a single workload cell with explicit parameters;
+// -assert-bound runs the contract table (garbage bound, drain-to-zero, lease
+// reaping, segment amortization) and exits 1 on any violation.
 //
 // Examples:
 //
@@ -9,6 +11,7 @@
 //	nbrbench -experiment fig4c -duration 2s
 //	nbrbench -list
 //	nbrbench -custom -ds lazylist -scheme nbr+ -threadcount 8 -keyrange 20000 -ins 50 -del 50
+//	nbrbench -assert-bound -duration 300ms
 package main
 
 import (
@@ -37,9 +40,7 @@ func main() {
 		lowm    = flag.Float64("lowm", 0.5, "NBR+ LoWatermark fraction")
 		sigspin = flag.Int("sigspin", 600, "simulated pthread_kill cost, spin iterations per signal")
 
-		snapshot = flag.String("snapshot", "", "write a machine-readable perf snapshot JSON to this path (e.g. BENCH_1.json) and exit")
-
-		assertBound = flag.Bool("assert-bound", false, "fail (exit 1) if any run's sampled garbage peak exceeds the scheme's declared GarbageBound; applies to -custom and -snapshot (a violating runtime cell embeds its flight-recorder event tail in the report, naming the thread that held the garbage)")
+		assertBound = flag.Bool("assert-bound", false, "run the contract table (bound, drain, reap and segment-ratio contracts over 13 fixed cells) and exit 1 on any violation; with -custom, fail if the cell's sampled garbage peak exceeds the scheme's declared GarbageBound")
 
 		custom      = flag.Bool("custom", false, "run a single custom cell instead of a preset")
 		dsName      = flag.String("ds", "lazylist", "custom: data structure")
@@ -66,19 +67,15 @@ func main() {
 	cfg.SendSpin = *sigspin
 	cfg.HandleSpin = *sigspin / 2
 
-	if *snapshot != "" {
-		// The snapshot suite is fixed (8 threads: the end-to-end workload
-		// cells, the shared-runtime cells — including the adversarial
-		// interleaved-retire variants — the Domain-vs-Runtime width cells,
-		// and the scan/burst microbenchmarks) so BENCH_<n>.json files are
-		// comparable across PRs; workload flags other than -duration and the
-		// scheme knobs do not apply to it.
-		if *experiment != "" || *custom || *threads != "" {
-			fmt.Fprintln(os.Stderr, "nbrbench: -snapshot runs a fixed suite; it cannot be combined with -experiment, -custom, or -threads")
+	if *assertBound && !*custom {
+		// The contract table is fixed (8 threads, host-independent checks);
+		// only -duration and the scheme knobs apply to it.
+		if *experiment != "" || *threads != "" {
+			fmt.Fprintln(os.Stderr, "nbrbench: -assert-bound runs a fixed table; it cannot be combined with -experiment or -threads")
 			os.Exit(1)
 		}
-		fmt.Printf("# writing perf snapshot to %s (duration %v per cell, fixed 8-thread suite)\n", *snapshot, *duration)
-		if err := bench.WriteSnapshot(*snapshot, *duration, cfg, *assertBound); err != nil {
+		fmt.Printf("# contract table: %d cells, duration %v per timed cell\n", len(bench.Contracts), *duration)
+		if err := bench.RunContracts(os.Stdout, bench.Contracts, *duration, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "nbrbench:", err)
 			os.Exit(1)
 		}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nbr/internal/catalog"
 	"nbr/internal/ds/hashmap"
@@ -44,8 +43,6 @@ type ResizeBurstWorkload struct {
 // ResizeBurstResult is the outcome of one run, all counters read at the
 // post-drain quiescent point.
 type ResizeBurstResult struct {
-	Keys        uint64 // total inserts performed
-	Mops        float64
 	Resizes     uint64
 	Stats       smr.Stats
 	Bound       int
@@ -94,7 +91,6 @@ func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
 		}
 	}()
 
-	start := time.Now()
 	var wg sync.WaitGroup
 	for tid := 0; tid < w.Threads; tid++ {
 		wg.Add(1)
@@ -108,17 +104,10 @@ func RunResizeBurst(w ResizeBurstWorkload) (ResizeBurstResult, error) {
 		}(tid)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	stop.Store(true)
 	<-samplerDone
 
-	res := ResizeBurstResult{
-		Keys:    uint64(w.Threads * w.KeysPerThread),
-		Resizes: m.Resizes(),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = float64(res.Keys) / s / 1e6
-	}
+	res := ResizeBurstResult{Resizes: m.Resizes()}
 	if g := sch.Stats().Garbage(); g > peak.Load() {
 		peak.Store(g)
 	}

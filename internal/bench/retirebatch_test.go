@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"testing"
 
@@ -67,27 +66,12 @@ func TestRetireBatchEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch%d", scheme, batch), func(t *testing.T) {
 				loopS, loopM := run(t, scheme, batch, false)
 				batchS, batchM := run(t, scheme, batch, true)
-				// The handoff histogram is the one stat that must differ:
-				// the loop records `total` handoffs of size 1, the batched
-				// run total/batch handoffs of size `batch`.
-				wantLoop, wantBatch := loopS.BatchHist, batchS.BatchHist
-				loopS.BatchHist, batchS.BatchHist = [smr.BatchBuckets]uint64{}, [smr.BatchBuckets]uint64{}
 				if loopS != batchS {
 					t.Fatalf("stats diverge:\n  loop  %+v\n  batch %+v", loopS, batchS)
 				}
 				if loopM.Allocs != batchM.Allocs || loopM.Frees != batchM.Frees {
 					t.Fatalf("allocator accounting diverges:\n  loop  allocs=%d frees=%d\n  batch allocs=%d frees=%d",
 						loopM.Allocs, loopM.Frees, batchM.Allocs, batchM.Frees)
-				}
-				var expLoop, expBatch [smr.BatchBuckets]uint64
-				expLoop[1] = total // bitlen(1) == 1
-				expBatch[bits.Len(uint(batch))] = total / uint64(batch)
-				if wantLoop != expLoop {
-					t.Fatalf("loop handoff histogram = %v", wantLoop)
-				}
-				if wantBatch != expBatch {
-					t.Fatalf("batch handoff histogram = %v, want bucket %d = %d",
-						wantBatch, bits.Len(uint(batch)), total/uint64(batch))
 				}
 			})
 		}
@@ -147,12 +131,8 @@ func TestRetireSplitEquivalence(t *testing.T) {
 			loopS, loopM := run(t, scheme, 1)
 			for _, batch := range sizes {
 				gotS, gotM := run(t, scheme, batch)
-				// Handoff histograms legitimately differ; everything else
-				// must be identical.
-				loopCmp, gotCmp := loopS, gotS
-				loopCmp.BatchHist, gotCmp.BatchHist = [smr.BatchBuckets]uint64{}, [smr.BatchBuckets]uint64{}
-				if loopCmp != gotCmp {
-					t.Fatalf("batch %d: stats diverge\n  loop  %+v\n  batch %+v", batch, loopCmp, gotCmp)
+				if loopS != gotS {
+					t.Fatalf("batch %d: stats diverge\n  loop  %+v\n  batch %+v", batch, loopS, gotS)
 				}
 				if loopM.Allocs != gotM.Allocs || loopM.Frees != gotM.Frees {
 					t.Fatalf("batch %d: allocator accounting diverges: loop frees=%d batch frees=%d",

@@ -52,3 +52,32 @@ func TestRunRuntimeRejectsTable1(t *testing.T) {
 		t.Fatal("abtree under hp must be rejected")
 	}
 }
+
+// TestStallCellReapsWedges pins the holder-death cell: wedged holders are
+// reaped by the lease watchdog, each zombie's late release is a counted
+// no-op, and the bound and drain-to-zero contracts hold through the deaths.
+// It stays out of the -race job while the watchdog's cache drain races the
+// zombie's earlier allocations (see ROADMAP).
+func TestStallCellReapsWedges(t *testing.T) {
+	r, err := RunRuntime(RuntimeWorkload{
+		Structures: []string{"lazylist", "dgt"},
+		Scheme:     "nbr+",
+		Slots:      4,
+		Workers:    6,
+		KeyRange:   512,
+		SessionOps: 32,
+		Duration:   100 * time.Millisecond,
+		Cfg:        catalog.DefaultSchemeConfig(),
+		Stall:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Reaped == 0 || r.RevokedReleases != r.Reaped {
+		t.Fatalf("reaped %d wedges, %d late releases; want > 0 and equal", r.Reaped, r.RevokedReleases)
+	}
+	if r.BoundExceeded() || r.Fallbacks != 0 || !r.Drained {
+		t.Fatalf("contracts broken under holder deaths: peak %d bound %d, fallbacks %d, retired %d freed %d staged %d",
+			r.GarbagePeak, r.Bound, r.Fallbacks, r.Stats.Retired, r.Stats.Freed, r.Staged)
+	}
+}

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it drives timed workloads over
 // schemes and structures built by name through internal/catalog, reproduces
 // every figure of the paper's evaluation (see DESIGN.md §5 for the index),
-// and writes and compares the perf snapshots.
+// and runs the contract table behind `nbrbench -assert-bound`.
 package bench
 
 import (
@@ -66,13 +66,6 @@ type Result struct {
 	// Series is the live-bytes timeline (one sample per 5ms tick): the
 	// sawtooth of bag growth and reclamation bursts, E2's figure over time.
 	Series []int64
-	// Retire handoff-size distribution, read from the scheme's own
-	// accounting (smr.Stats.BatchHist): every Retire counts as a handoff of
-	// 1, every RetireBatch as one handoff of its length. Shows how much of
-	// the retire traffic the RetireBatch seam actually amortizes.
-	Batches                      uint64
-	BatchP50, BatchP99, BatchMax int64
-	BatchHist                    []uint64
 }
 
 // latencySample is the per-thread operation sampling period.
@@ -269,12 +262,6 @@ func Run(w Workload) (Result, error) {
 	res.LatP50 = time.Duration(lat.Quantile(0.50))
 	res.LatP99 = time.Duration(lat.Quantile(0.99))
 	res.LatMax = time.Duration(lat.Max())
-
-	res.Batches = res.Stats.RetireCalls()
-	res.BatchP50 = res.Stats.BatchQuantile(0.50)
-	res.BatchP99 = res.Stats.BatchQuantile(0.99)
-	res.BatchMax = res.Stats.BatchMax()
-	res.BatchHist = trimBuckets(res.Stats.BatchHist)
 	return res, nil
 }
 
@@ -282,20 +269,6 @@ func Run(w Workload) (Result, error) {
 // scheme's declared bound. Always false for unbounded schemes.
 func (r Result) BoundExceeded() bool {
 	return r.Bound != smr.Unbounded && r.GarbagePeak > uint64(r.Bound)
-}
-
-// trimBuckets drops the empty tail of a bucket array for compact reports.
-func trimBuckets(b [smr.BatchBuckets]uint64) []uint64 {
-	n := len(b)
-	for n > 0 && b[n-1] == 0 {
-		n--
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	copy(out, b[:n])
-	return out
 }
 
 // prefill populates the set to the target size using all worker threads,

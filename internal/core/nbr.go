@@ -435,7 +435,6 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.ctr.Handoff(len(ps))
 	g.s.rec.SampleRetire(uint64(ps[0].Unmarked())) // age-sample one record per splice
 	for len(ps) > 0 {
 		take := g.beforeRetire(len(ps))

@@ -89,6 +89,16 @@ func TestHubStagingEquivalence(t *testing.T) {
 			if h.Staged() != 0 {
 				t.Fatalf("%s/batch=%d: %d records stranded in staging", pat.name, batch, h.Staged())
 			}
+			// Staging amortization under the worst interleaving: every flush
+			// carries >= burst records and the final drain adds at most one
+			// dispatch per owner, where splitting per owner run would issue
+			// one dispatch per record.
+			if pat.name == "round-robin" && batch >= 2 {
+				if d := h.Stats().Dispatches; d > records/burst+k {
+					t.Fatalf("%s/batch=%d: %d pool dispatches for %d records, want <= %d",
+						pat.name, batch, d, records, records/burst+k)
+				}
+			}
 			for tag := 0; tag < k; tag++ {
 				hs, rs := hubPools[tag].Stats(), refPools[tag].Stats()
 				if hs.Allocs != rs.Allocs || hs.Frees != rs.Frees || hs.Live != rs.Live || hs.SlabBytes != rs.SlabBytes {

@@ -83,7 +83,28 @@ func BenchmarkFreeBurst(b *testing.B) {
 			p := NewPool[rec](Config{MaxThreads: goroutines, CacheSize: 64, Shards: shards})
 			b.ReportAllocs()
 			b.ResetTimer()
-			BurstChurn(p, goroutines, burst, b.N)
+			burstChurn(p, goroutines, burst, b.N)
 		})
 	}
+}
+
+// burstChurn drives goroutines through alloc-burst/FreeBatch cycles against
+// p until ~totalOps alloc+free pairs have completed.
+func burstChurn(p *Pool[rec], goroutines, burst, totalOps int) {
+	var wg sync.WaitGroup
+	per := totalOps/goroutines + 1
+	for tid := 0; tid < goroutines; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			batch := make([]Ptr, burst)
+			for i := 0; i < per; i += burst {
+				for j := range batch {
+					batch[j], _ = p.Alloc(tid)
+				}
+				p.FreeBatch(tid, batch)
+			}
+		}(tid)
+	}
+	wg.Wait()
 }

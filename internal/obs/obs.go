@@ -18,10 +18,10 @@
 //
 // Timestamps are nanoseconds on the monotonic clock since the recorder's
 // creation, so merged timelines are globally ordered across rings. The
-// histograms use the same power-of-two bucket idiom as internal/hist and
-// smr.Stats.BatchHist, made atomic so cross-thread writers and concurrent
-// snapshot readers stay race-clean; bucket shape (which powers of two hold
-// the mass) is comparable across hosts even when absolute latencies are not.
+// histograms use the same power-of-two bucket idiom as internal/hist, made
+// atomic so cross-thread writers and concurrent snapshot readers stay
+// race-clean; bucket shape (which powers of two hold the mass) is comparable
+// across hosts even when absolute latencies are not.
 package obs
 
 import (
@@ -521,9 +521,9 @@ func (r *Recorder) Snapshot(maxEvents int) Snapshot {
 }
 
 // Hist is an atomic power-of-two histogram: bucket i counts values whose
-// bit length is i, i.e. [2^(i-1), 2^i). Same shape as internal/hist and
-// smr.Stats.BatchHist, but writable from many threads and snapshotable
-// concurrently. The zero value is ready to use.
+// bit length is i, i.e. [2^(i-1), 2^i). Same shape as internal/hist, but
+// writable from many threads and snapshotable concurrently. The zero value
+// is ready to use.
 type Hist struct {
 	counts [64]atomic.Uint64
 	total  atomic.Uint64
@@ -564,7 +564,7 @@ func (h *Hist) Max() int64 {
 // Quantile returns the upper edge of the bucket holding the q-quantile
 // (nearest-rank over a concurrent snapshot of the buckets), tightened by the
 // recorded max in the final bucket — the same contract as
-// internal/hist.Histogram.Quantile and Stats.BatchQuantile.
+// internal/hist.Histogram.Quantile.
 func (h *Hist) Quantile(q float64) int64 {
 	if h == nil {
 		return 0

@@ -26,7 +26,6 @@ type Counters struct {
 	retired, freed, scans, advances Counter
 	segments                        Counter // segment handles bagged (one per carved piece)
 	segRecords                      Counter // member records those handles stood for
-	batches                         BatchHist
 }
 
 // AddTo folds the counters into st.
@@ -37,12 +36,7 @@ func (c *Counters) AddTo(st *Stats) {
 	st.Advances += c.advances.Load()
 	st.Segments += c.segments.Load()
 	st.SegRecords += c.segRecords.Load()
-	c.batches.AddTo(&st.BatchHist)
 }
-
-// Handoff records one RetireBatch handoff of n records in the batch
-// histogram (Bag.Add and Bag.Segment record Retire's and RetireSegment's).
-func (c *Counters) Handoff(n int) { c.batches.Record(n) }
 
 // Advanced counts one epoch or era advance.
 func (c *Counters) Advanced() { c.advances.Inc() }
@@ -51,7 +45,6 @@ func (c *Counters) Advanced() { c.advances.Inc() }
 // (the leaky baseline); seg marks a segment handle standing for all n.
 func (c *Counters) Drop(n int, seg bool) {
 	c.retired.Add(uint64(n))
-	c.batches.Record(n)
 	if seg {
 		c.segments.Inc()
 		c.segRecords.Add(uint64(n))
@@ -91,19 +84,17 @@ func (b *Bag) Len() int { return len(b.ents) }
 // Weight returns the record weight of the entries.
 func (b *Bag) Weight() int { return b.w }
 
-// Add bags one record as a Retire handoff of size 1. Untagged bags only;
-// it is the NBR fast path, so it stays free of indirect calls.
+// Add bags one record. Untagged bags only; it is the NBR fast path, so it
+// stays free of indirect calls.
 func (b *Bag) Add(p mem.Ptr) {
 	b.ents = append(b.ents, p.Unmarked())
 	b.w++
 	b.c.retired.Inc()
-	b.c.batches.Record(1)
 }
 
-// Append bags ps under tag: one chunk of a handoff whose size the caller
-// recorded with Counters.Handoff. Records count as retired per chunk, so a
-// concurrent Stats sampler never sees a whole split splice as garbage
-// before the split could reclaim between its chunks.
+// Append bags ps under tag: one chunk of a handoff. Records count as
+// retired per chunk, so a concurrent Stats sampler never sees a whole split
+// splice as garbage before the split could reclaim between its chunks.
 func (b *Bag) Append(ps []mem.Ptr, tag uint64) {
 	ents := b.ents
 	for _, p := range ps {
@@ -141,14 +132,13 @@ func (b *Bag) Fill(threshold, avail int) int {
 }
 
 // Segment is RetireSegment's prologue: it returns the member weight of
-// segment handle p and records the handoff, or returns 0 when p is not a
-// live segment, in which case the caller degrades to Retire.
+// segment handle p, or 0 when p is not a live segment, in which case the
+// caller degrades to Retire.
 func (b *Bag) Segment(p mem.Ptr) int {
 	w := mem.SegWeight(b.seg.Arena(), p)
 	if w <= 1 {
 		return 0
 	}
-	b.c.batches.Record(w)
 	return w
 }
 

@@ -237,7 +237,6 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.ctr.Handoff(len(ps))
 	g.current().Append(ps, 0)
 }
 

@@ -218,10 +218,6 @@ func (g *guard) Retire(p mem.Ptr) { g.RetireBatch([]mem.Ptr{p}) }
 // stretch the buffer — and the bound — beyond Threshold plus the protected
 // survivors.
 func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
-	g.ctr.Handoff(len(ps))
 	for len(ps) > 0 {
 		take := g.bag.Fill(g.s.cfg.Threshold, len(ps))
 		g.bag.Append(ps[:take], 0)

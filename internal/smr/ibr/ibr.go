@@ -79,7 +79,7 @@ func New(arena mem.Arena, threads int, cfg Config) *Scheme {
 	s.gs = make([]*guard, threads)
 	for i := range s.gs {
 		g := &guard{s: s, tid: i}
-		g.bag.Init(&s.seg, &g.ctr, 0, false)
+		g.InitEra(&s.era, arena, &s.seg, i, s.cfg.Threshold, s.cfg.EraFreq, g.sweep)
 		s.gs[i] = g
 	}
 	return s
@@ -95,7 +95,7 @@ func (s *Scheme) Guard(tid int) smr.Guard { return s.gs[tid] }
 func (s *Scheme) Stats() smr.Stats {
 	var st smr.Stats
 	for _, g := range s.gs {
-		g.ctr.AddTo(&st)
+		g.Ctr.AddTo(&st)
 	}
 	return st
 }
@@ -147,8 +147,8 @@ func (s *Scheme) attachThread(tid int) {
 // slot left the active mask.
 func (s *Scheme) ReclaimAll(tid int) {
 	g := s.gs[tid]
-	g.bag.Adopt(&s.Membership, 0, nil)
-	if g.bag.Len() > 0 {
+	g.Bag.Adopt(&s.Membership, 0, nil)
+	if g.Bag.Len() > 0 {
 		g.sweep()
 	}
 }
@@ -157,7 +157,7 @@ func (s *Scheme) ReclaimAll(tid int) {
 // survivors, raising the measured-bound watermark the orphan list
 // contributes to.
 func (s *Scheme) OrphanSurvivors(tid int) {
-	s.orphanPeak.Raise(uint64(s.gs[tid].bag.Orphan(s.Reg)))
+	s.orphanPeak.Raise(uint64(s.gs[tid].Bag.Orphan(s.Reg)))
 }
 
 // ResetSlot implements smr.Quiescer: empty tid's reservation interval.
@@ -184,20 +184,19 @@ func (s *Scheme) ForceRound() bool {
 // tid.
 func (s *Scheme) Drain(tid int) {
 	g := s.gs[tid]
-	g.bag.Adopt(&s.Membership, 0, nil)
-	if g.bag.Len() > 0 {
+	g.Bag.Adopt(&s.Membership, 0, nil)
+	if g.Bag.Len() > 0 {
 		g.sweep()
 	}
 }
 
 type guard struct {
-	s      *Scheme
-	tid    int
-	bag    smr.Bag
-	ctr    smr.Counters
-	events int // allocations + retirements since the last era advance
-	los    []uint64
-	his    []uint64 // sweep scratch, reused
+	smr.EraRetire // birth/retire stamping, the era clock and the bag
+
+	s   *Scheme
+	tid int
+	los []uint64
+	his []uint64 // sweep scratch, reused
 
 	// pinnedPeak is the largest survivor weight any sweep of this guard
 	// kept: the measured pinned-set term of GarbageBound.
@@ -235,77 +234,8 @@ func (g *guard) Protect(_ int, _ mem.Ptr) {
 
 func (g *guard) NeedsValidation() bool { return true }
 
-// OnAlloc stamps the record's birth era and ticks the era clock.
-func (g *guard) OnAlloc(p mem.Ptr) {
-	g.s.arena.Hdr(p).SetBirth(g.s.era.Load())
-	g.tick()
-}
-
 func (g *guard) OnStale(p mem.Ptr) {
 	panic("ibr: use-after-free detected (validation raced a free): " + p.String())
-}
-
-func (g *guard) Retire(p mem.Ptr) { g.RetireBatch([]mem.Ptr{p}) }
-
-// RetireBatch implements smr.Guard under the fill cut: one era load stamps
-// each chunk (read after every record in the batch was unlinked, so no stamp
-// is older than a per-record Retire would have written), the event clock
-// ticks once per chunk, and the sweep triggers at exactly the bag weights a
-// per-record Retire loop would hit.
-func (g *guard) RetireBatch(ps []mem.Ptr) {
-	if len(ps) == 0 {
-		return
-	}
-	g.ctr.Handoff(len(ps))
-	for len(ps) > 0 {
-		take := g.bag.Fill(g.s.cfg.Threshold, len(ps))
-		e := g.s.era.Load()
-		for _, p := range ps[:take] {
-			g.s.arena.Hdr(p.Unmarked()).SetRetire(e)
-		}
-		g.bag.Append(ps[:take], 0)
-		g.retired(take)
-		ps = ps[take:]
-	}
-}
-
-// RetireSegment implements smr.Guard under the carve cut: one birth/retire
-// stamp covers each piece's members, and every piece inherits the run's
-// birth era (it stands for members allocated then), so the sweep's
-// lifetime check pins or frees a piece whole.
-func (g *guard) RetireSegment(p mem.Ptr) {
-	if g.bag.Segment(p) == 0 {
-		g.Retire(p)
-		return
-	}
-	birth := g.s.arena.Hdr(p.Unmarked()).Birth()
-	g.bag.Carve(g.tid, g.s.cfg.Threshold, p, func(piece mem.Ptr) {
-		hdr := g.s.arena.Hdr(piece)
-		hdr.SetBirth(birth)
-		hdr.SetRetire(g.s.era.Load())
-	}, g.retired)
-}
-
-// retired ticks the event clock for w bagged records and sweeps once the
-// bag reaches the threshold.
-func (g *guard) retired(w int) {
-	g.tickN(w)
-	if g.bag.Weight() >= g.s.cfg.Threshold {
-		g.sweep()
-	}
-}
-
-func (g *guard) tick() { g.tickN(1) }
-
-// tickN advances the event clock by n, advancing the era exactly as n
-// single-event ticks would.
-func (g *guard) tickN(n int) {
-	g.events += n
-	for g.events >= g.s.cfg.EraFreq {
-		g.events -= g.s.cfg.EraFreq
-		g.s.era.Add(1)
-		g.ctr.Advanced()
-	}
 }
 
 // sweep frees every record whose [birth, retire] interval no active thread
@@ -313,7 +243,7 @@ func (g *guard) tickN(n int) {
 // rides the same sweep; the survivor count feeds the pinned-set term of
 // GarbageBound.
 func (g *guard) sweep() {
-	g.bag.Adopt(&g.s.Membership, g.s.cfg.Threshold, nil)
+	g.Bag.Adopt(&g.s.Membership, g.s.cfg.Threshold, nil)
 	if r := g.s.Reg; r != nil {
 		r.BeginScan()
 		defer r.EndScan()
@@ -330,7 +260,7 @@ func (g *guard) sweep() {
 		}
 	})
 	g.los, g.his = los, his
-	g.bag.SweepIf(g.s.arena, g.tid, func(p mem.Ptr, _ uint64) bool {
+	g.Bag.SweepIf(g.s.arena, g.tid, func(p mem.Ptr, _ uint64) bool {
 		hdr := g.s.arena.Hdr(p)
 		birth, retire := hdr.Birth(), hdr.Retire()
 		for i := range los {
@@ -343,5 +273,5 @@ func (g *guard) sweep() {
 	// Raised after the frees so a concurrent sampler can never read the
 	// lowered garbage before the raised bound (GarbageBound is monotone, so
 	// the reverse interleaving is harmless).
-	g.pinnedPeak.Raise(uint64(g.bag.Weight()))
+	g.pinnedPeak.Raise(uint64(g.Bag.Weight()))
 }

@@ -176,7 +176,6 @@ func (g *guard) RetireBatch(ps []mem.Ptr) {
 	if len(ps) == 0 {
 		return
 	}
-	g.ctr.Handoff(len(ps))
 	g.bag.Append(ps, g.s.epoch.Load())
 	g.retired(len(ps))
 }

@@ -32,8 +32,6 @@
 package smr
 
 import (
-	"math"
-
 	"nbr/internal/mem"
 	"nbr/internal/sigsim"
 )
@@ -168,79 +166,6 @@ type Stats struct {
 	Advances    uint64 // epoch or era advances
 	Segments    uint64 // segment handles retired (RetireSegment pieces)
 	SegRecords  uint64 // member records those segments stood for
-	// BatchHist is the retire handoff-size distribution: bucket i counts
-	// handoffs of size s with bitlen(s) == i, i.e. s in [2^(i-1), 2^i).
-	// A Retire call is one handoff of size 1; a RetireBatch call is one
-	// handoff of its batch length. Retired divided by the handoff count is
-	// the average amortization the RetireBatch seam achieves.
-	BatchHist [BatchBuckets]uint64
-}
-
-// RetireCalls returns the number of retire handoffs (Retire calls plus
-// non-empty RetireBatch calls).
-func (s Stats) RetireCalls() uint64 {
-	var n uint64
-	for _, c := range s.BatchHist {
-		n += c
-	}
-	return n
-}
-
-// BatchQuantile returns an upper bound for the q-quantile handoff size: the
-// upper edge of the power-of-two bucket containing it. Returns 0 when no
-// handoffs were recorded.
-func (s Stats) BatchQuantile(q float64) int64 {
-	total := s.RetireCalls()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Nearest-rank: the smallest value with at least ceil(q·total) recorded
-	// handoffs at or below it, i.e. 0-indexed rank ceil(q·total)−1.
-	r := math.Ceil(q * float64(total))
-	if r < 1 {
-		r = 1
-	}
-	rank := uint64(r) - 1
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range s.BatchHist {
-		seen += c
-		if rank < seen {
-			return bucketUpper(i)
-		}
-	}
-	return bucketUpper(BatchBuckets - 1)
-}
-
-// BatchMax returns an upper bound for the largest handoff recorded (the
-// upper edge of the top non-empty bucket), or 0 if none.
-func (s Stats) BatchMax() int64 {
-	for i := BatchBuckets - 1; i >= 0; i-- {
-		if s.BatchHist[i] != 0 {
-			return bucketUpper(i)
-		}
-	}
-	return 0
-}
-
-// bucketUpper is the largest size bucket i can hold: bitlen(s) == i means
-// s ≤ 2^i - 1. The top bucket is open-ended (Record saturates batches of
-// 2^(BatchBuckets-1) or more into it), so for it the returned value is a
-// saturation cap, not a true upper bound — BatchQuantile/BatchMax report at
-// most 2^(BatchBuckets-1) - 1 however large the actual handoff was.
-func bucketUpper(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return int64(1)<<i - 1
 }
 
 // Stamps returns the number of scheme-side per-retirement bookkeeping events
